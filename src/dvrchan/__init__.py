@@ -41,6 +41,6 @@ from .pointprocess import (
     sample_realization,
     substream,
 )
-from .simulator import MpcRecord, RunSummary, compute_angles, run_experiment, trace_realization
+from .simulator import RunSummary, run_experiment
 
 __version__ = "0.1.0"

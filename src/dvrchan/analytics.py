@@ -18,6 +18,7 @@ from .geometry import (
     KernelDomainError,
     LensSpec,
     density_kernel,
+    distances,
     lens_area,
     sample_uniform_in_lens,
     support_bounds,
@@ -268,12 +269,6 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def _distances(points: np.ndarray, d_prime: float) -> tuple[np.ndarray, np.ndarray]:
-    x = np.hypot(points[:, 0], points[:, 1])
-    y = np.hypot(points[:, 0] - d_prime, points[:, 1])
-    return x, y
-
-
 def moment_terms(
     scenario: Scenario,
     class_kind: str,
@@ -293,7 +288,7 @@ def moment_terms(
     if lens_area(lens) <= 0.0:
         raise DegenerateScenarioError(f"{class_kind} class lens is empty")
     points = sample_uniform_in_lens(lens, rng, size=n_mc)
-    x, y = _distances(points, scenario.d_prime)
+    x, y = distances(points, scenario.d_prime)
     theta = interaction.phase(x, y)
     r = rng.normal(interaction.coeff_mean, math.sqrt(interaction.coeff_var), n_mc)
     amp = r / interaction.g2(x, y)

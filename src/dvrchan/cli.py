@@ -29,7 +29,7 @@ from .analytics import (
     mpc_pmf,
 )
 from .config import ConfigError, RunConfig, load_config
-from .geometry import LensSpec, lens_area, sample_uniform_in_lens
+from .geometry import LensSpec, distances, lens_area, sample_uniform_in_lens
 from .pointprocess import mean_active_count, sample_realization, substream
 from .simulator import ANGLE_BIN_EDGES, run_experiment
 
@@ -175,8 +175,7 @@ def _check_ks_marginals(cfg, scenario, seed, n) -> list[tuple[str, bool, str]]:
             continue
         lens = scenario.scatterer_class(kind).lens(scenario.d_prime)
         points = sample_uniform_in_lens(lens, substream(seed, 1000 + offset), size=n)
-        x = np.hypot(points[:, 0], points[:, 1])
-        y = np.hypot(points[:, 0] - scenario.d_prime, points[:, 1])
+        x, y = distances(points, scenario.d_prime)
         for axis, samples, cdf in (
             ("x", x, lambda t, k=kind: analytics.distance_cdf_bs(t, scenario, k)),
             ("y", y, lambda t, k=kind: analytics.distance_cdf_ms(t, scenario, k)),
@@ -240,6 +239,13 @@ def cmd_validate(cfg: RunConfig, seed: int, n: int | None, workers: int) -> int:
     return 0 if failed == 0 else 1
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dvrchan",
@@ -257,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON config (default: GTU preset)")
         p.add_argument("--out", default=None, help="output CSV path")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--realizations", type=int, default=None, help="override realization count")
+        p.add_argument("--realizations", type=_positive_int, help="override realization count")
         p.add_argument("--workers", type=int, default=1, help="parallel worker count")
     return parser
 

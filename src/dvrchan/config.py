@@ -1,4 +1,4 @@
-"""Run configuration: JSON schema, validation, and unit normalization.
+"""Run configuration: validation against the preset's keys, unit normalization.
 
 Configs carry lengths in km or m (explicit ``length_unit``) and densities as
 mantissa/exponent pairs in scatterers per square meter, so published
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,27 +53,6 @@ GTU_PRESET = {
     "seed": 20260824,
 }
 
-_SCHEMA = {
-    "scenario": {
-        "length_unit": None,
-        "d_prime": None,
-        "gamma": None,
-        "short": {"v1": None, "v2": None, "density": None, "density_exponent": None},
-        "tall": {"v1": None, "v2": None, "density": None, "density_exponent": None},
-    },
-    "interaction": {
-        "modes": None,
-        "transmit_power_w": None,
-        "frequency_ghz": None,
-        "reflection": {"coeff_mean": None, "coeff_var": None},
-        "scattering": {"coeff_mean": None, "coeff_var": None},
-    },
-    "sweep": {"toa_d_prime": None, "toa_gamma": None, "power_d_prime": None},
-    "realizations": {"pmf": None, "toa": None, "power": None, "angles": None},
-    "seed": None,
-}
-
-
 def _check_keys(data: dict, schema: dict, path: str = ""):
     for key, value in data.items():
         here = f"{path}.{key}" if path else key
@@ -85,17 +65,29 @@ def _check_keys(data: dict, schema: dict, path: str = ""):
             _check_keys(value, sub, here)
 
 
-def _number(data: dict, path: str, key: str, minimum=None, maximum=None) -> float:
+def _number(data: dict, path: str, key: str, minimum=None, maximum=None, scale=1.0) -> float:
+    """``data[key]`` times ``scale`` (a unit factor); bounds apply before scaling."""
     if key not in data:
         raise ConfigError(f"{path}.{key}", "missing required field")
     value = data[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key}", f"expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value * scale):
+        raise ConfigError(f"{path}.{key}", f"must be finite in SI units, got {value * scale}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path}.{key}", f"must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
         raise ConfigError(f"{path}.{key}", f"must be <= {maximum}, got {value}")
+    return value * scale
+
+
+def _integer(value, field: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(field, f"must be an integer >= {minimum}, got {value!r}")
     return value
 
 
@@ -108,9 +100,6 @@ def _merge_defaults(data: dict, defaults: dict) -> dict:
             merged[key] = data[key]
         else:
             merged[key] = default
-    for key in data:
-        if key not in defaults:
-            merged[key] = data[key]
     return merged
 
 
@@ -150,15 +139,21 @@ class RunConfig:
 
 
 def _load_class(kind: str, data: dict, path: str, unit: float) -> ScattererClass:
-    v1 = _number(data, path, "v1") * unit
-    v2 = _number(data, path, "v2") * unit
+    v1 = _number(data, path, "v1", scale=unit)
+    v2 = _number(data, path, "v2", scale=unit)
     mantissa = _number(data, path, "density", minimum=0.0)
     exponent = _number(data, path, "density_exponent")
     if v1 <= 0.0:
         raise ConfigError(f"{path}.v1", "must be > 0")
     if v2 <= 0.0:
         raise ConfigError(f"{path}.v2", "must be > 0")
-    return ScattererClass(kind=kind, v1=v1, v2=v2, density=mantissa * 10.0**exponent)
+    try:
+        density = mantissa * 10.0**exponent
+    except OverflowError:
+        density = math.inf
+    if not math.isfinite(density):
+        raise ConfigError(f"{path}.density_exponent", f"{mantissa} * 10^{exponent} overflows")
+    return ScattererClass(kind=kind, v1=v1, v2=v2, density=density)
 
 
 def load_config(path: str | Path | None = None) -> RunConfig:
@@ -176,7 +171,7 @@ def load_config(path: str | Path | None = None) -> RunConfig:
             raise ConfigError(str(path), f"cannot read config: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(str(path), "top-level config must be an object")
-        _check_keys(raw, _SCHEMA)
+        _check_keys(raw, GTU_PRESET)
         raw = _merge_defaults(raw, GTU_PRESET)
 
     scen = raw["scenario"]
@@ -184,15 +179,15 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     if unit_name not in ("km", "m"):
         raise ConfigError("scenario.length_unit", f"must be 'km' or 'm', got {unit_name!r}")
     unit = 1000.0 if unit_name == "km" else 1.0
-    d_prime = _number(scen, "scenario", "d_prime", minimum=0.0) * unit
+    d_prime = _number(scen, "scenario", "d_prime", minimum=0.0, scale=unit)
     gamma = _number(scen, "scenario", "gamma", minimum=0.0, maximum=1.0)
     short = _load_class("short", scen["short"], "scenario.short", unit)
     tall = _load_class("tall", scen["tall"], "scenario.tall", unit)
 
     inter = raw["interaction"]
     power_w = _number(inter, "interaction", "transmit_power_w", minimum=1e-12)
-    freq = _number(inter, "interaction", "frequency_ghz", minimum=1e-12)
-    wavelength = SPEED_OF_LIGHT / (freq * 1e9)
+    freq_hz = _number(inter, "interaction", "frequency_ghz", minimum=1e-12, scale=1e9)
+    wavelength = SPEED_OF_LIGHT / freq_hz
     modes = inter["modes"]
     if not isinstance(modes, list) or not modes:
         raise ConfigError("interaction.modes", "must be a non-empty list")
@@ -216,7 +211,7 @@ def load_config(path: str | Path | None = None) -> RunConfig:
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.{key}", "must be a non-empty list")
         return tuple(
-            _number({"v": v}, f"sweep.{key}", "v", minimum=0.0) * unit for v in values
+            _number({"v": v}, f"sweep.{key}", "v", minimum=0.0, scale=unit) for v in values
         )
 
     toa_gamma = sweep["toa_gamma"]
@@ -229,11 +224,9 @@ def load_config(path: str | Path | None = None) -> RunConfig:
 
     reals = raw["realizations"]
     realizations = {
-        key: int(_number(reals, "realizations", key, minimum=1)) for key in reals
+        key: _integer(reals[key], f"realizations.{key}", minimum=1) for key in reals
     }
-    seed = raw["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError("seed", f"must be a non-negative integer, got {seed!r}")
+    seed = _integer(raw["seed"], "seed", minimum=0)
 
     return RunConfig(
         raw=raw,

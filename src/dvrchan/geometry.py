@@ -4,7 +4,8 @@ The overlap ("lens") of a disk of radius ``a`` centered at the origin and a
 disk of radius ``b`` centered at ``(d0, 0)`` is the support region for active
 scatterers.  This module provides the closed-form overlap area, the
 mixed-partial density kernel behind the joint distance law, the marginal
-support bounds, and uniform rejection sampling inside the lens.
+support bounds, uniform rejection sampling inside the lens, and the distances
+of points from the two centers.
 
 All lengths are in meters, areas in square meters.
 """
@@ -26,6 +27,7 @@ __all__ = [
     "support_bounds",
     "lens_bounding_box",
     "sample_uniform_in_lens",
+    "distances",
 ]
 
 # Radicands slightly below zero (floating-point cancellation at the branch
@@ -187,3 +189,10 @@ def sample_uniform_in_lens(spec: LensSpec, rng: np.random.Generator, size=None):
         out[filled : filled + take, 1] = hits_y[:take]
         filled += take
     return out[0] if size is None else out
+
+
+def distances(points: np.ndarray, d0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Distances of ``(n, 2)`` points from the origin and from ``(d0, 0)``."""
+    x = np.hypot(points[:, 0], points[:, 1])
+    y = np.hypot(points[:, 0] - d0, points[:, 1])
+    return x, y

@@ -1,35 +1,29 @@
 """Monte Carlo experiment engine.
 
-Generates realizations of the scatterer process, builds per-component records
-(distances, path length, departure/arrival angles, bounce coefficients),
-evaluates the coherent received-power sum per realization, and aggregates the
-empirical statistics that cross-check every closed-form result.
+Generates blocks of realizations of the scatterer process, evaluates each
+component's distances, path length, departure/arrival angles and bounce
+coefficient and each realization's coherent received-power sum, and
+aggregates the empirical statistics that cross-check every closed-form
+result.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import InteractionModel
-from .pointprocess import (
-    Realization,
-    Scenario,
-    mean_active_count,
-    sample_block,
-    substream,
-)
+from .analytics import SPEED_OF_LIGHT, InteractionModel
+from .geometry import distances
+from .pointprocess import RealizationBlock, Scenario, sample_block, substream
 
 __all__ = [
     "N_ANGLE_BINS",
     "ANGLE_BIN_EDGES",
-    "MpcRecord",
+    "Moments",
     "RunSummary",
-    "compute_angles",
-    "trace_realization",
     "run_experiment",
 ]
 
@@ -42,77 +36,45 @@ ANGLE_BIN_EDGES = -math.pi + _BIN_WIDTH / 2.0 + np.arange(N_ANGLE_BINS + 1) * _B
 _BLOCK_SIZE = 8192
 
 
-@dataclass
-class MpcRecord:
-    """One multipath component: BS->scatterer->MS."""
+@dataclass(frozen=True)
+class Moments:
+    """Count, mean and sum of squared deviations (``m2``) of a sample.
 
-    class_kind: str
-    x: float
-    y: float
-    tau: float
-    aod: float
-    aoa: float
-    r_coeff: float
-
-
-def _wrap_angle(angle):
-    """Wrap to the half-open interval (-pi, pi]."""
-    wrapped = np.where(angle <= -math.pi, angle + 2.0 * math.pi, angle)
-    return wrapped if isinstance(angle, np.ndarray) else float(wrapped)
-
-
-def compute_angles(point, d_prime: float) -> tuple[float, float]:
-    """Departure angle at the BS and arrival angle at the MS of a scatterer.
-
-    Both are measured from the +x axis (the BS->MS direction), wrapped to
-    (-pi, pi].
+    Partial results combine with :meth:`merge`, so a block-parallel run keeps
+    no raw sums of squares and never takes the variance as ``sumsq/n - mean^2``.
     """
-    px, py = float(point[0]), float(point[1])
-    if px == 0.0 and py == 0.0:
-        raise ValueError("scatterer coincides with the BS; angle undefined")
-    if px == d_prime and py == 0.0:
-        raise ValueError("scatterer coincides with the MS; angle undefined")
-    aod = _wrap_angle(math.atan2(py, px))
-    aoa = _wrap_angle(math.atan2(py, px - d_prime))
-    return aod, aoa
 
+    count: int = 0
+    mean: float = math.nan
+    m2: float = 0.0
 
-def _coherent_power(x, y, r, interaction: InteractionModel) -> float:
-    if len(x) == 0:
-        return 0.0
-    theta = interaction.phase(x, y)
-    amp = r / interaction.g2(x, y)
-    re = float(np.sum(amp * np.cos(theta)))
-    im = float(np.sum(-amp * np.sin(theta)))
-    return interaction.k0 * (re * re + im * im)
+    @classmethod
+    def of(cls, values: np.ndarray) -> "Moments":
+        if len(values) == 0:
+            return cls()
+        mean = float(np.mean(values))
+        return cls(len(values), mean, float(np.sum((values - mean) ** 2)))
 
+    def merge(self, other: "Moments") -> "Moments":
+        """Pairwise update of Chan, Golub & LeVeque (1979)."""
+        if other.count == 0:
+            return self
+        if self.count == 0:
+            return other
+        count = self.count + other.count
+        delta = other.mean - self.mean
+        return Moments(
+            count,
+            self.mean + delta * other.count / count,
+            self.m2 + other.m2 + delta * delta * self.count * other.count / count,
+        )
 
-def trace_realization(
-    realization: Realization,
-    scenario: Scenario,
-    interaction: InteractionModel,
-    rng: np.random.Generator,
-) -> tuple[list[MpcRecord], float]:
-    """Build the per-component records and the realization's received power.
-
-    Each active scatterer contributes exactly one component; the power is the
-    coherent sum over all of them.  An empty realization has power zero.
-    """
-    sigma = math.sqrt(interaction.coeff_var)
-    records: list[MpcRecord] = []
-    xs, ys, rs = [], [], []
-    for kind, points in (("short", realization.short_points), ("tall", realization.tall_points)):
-        coeffs = rng.normal(interaction.coeff_mean, sigma, len(points))
-        for point, coeff in zip(points, coeffs):
-            x = math.hypot(point[0], point[1])
-            y = math.hypot(point[0] - scenario.d_prime, point[1])
-            aod, aoa = compute_angles(point, scenario.d_prime)
-            records.append(MpcRecord(kind, x, y, x + y, aod, aoa, float(coeff)))
-            xs.append(x)
-            ys.append(y)
-            rs.append(float(coeff))
-    power = _coherent_power(np.asarray(xs), np.asarray(ys), np.asarray(rs), interaction)
-    return records, power
+    @property
+    def stderr(self) -> float:
+        """Standard error of the mean; NaN below two samples."""
+        if self.count < 2:
+            return math.nan
+        return math.sqrt(self.m2 / (self.count - 1) / self.count)
 
 
 @dataclass
@@ -123,26 +85,20 @@ class RunSummary:
     and gate-closed branches; the single-component time-of-arrival estimator
     reweights the branches by the gate probability so that its expectation
     matches the closed-form mean regardless of how often a branch is empty.
+    ``power`` holds one value per realization, so ``power.count`` is the
+    number of realizations.
     """
 
     gamma: float
     mode: str
-    n_realizations: int = 0
-    n_gate_open: int = 0
-    mpc_count_histogram: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
-    tau_open_count: int = 0
-    tau_open_sum: float = 0.0
-    tau_open_sumsq: float = 0.0
-    tau_closed_count: int = 0
-    tau_closed_sum: float = 0.0
-    tau_closed_sumsq: float = 0.0
-    pooled_tau_count: int = 0
-    pooled_tau_sum: float = 0.0
-    pooled_tau_sumsq: float = 0.0
-    power_sum: float = 0.0
-    power_sumsq: float = 0.0
-    aod_histogram: np.ndarray = field(default_factory=lambda: np.zeros(N_ANGLE_BINS, dtype=np.int64))
-    aoa_histogram: np.ndarray = field(default_factory=lambda: np.zeros(N_ANGLE_BINS, dtype=np.int64))
+    n_gate_open: int
+    mpc_count_histogram: np.ndarray
+    tau_open: Moments
+    tau_closed: Moments
+    pooled_tau: Moments
+    power: Moments
+    aod_histogram: np.ndarray
+    aoa_histogram: np.ndarray
 
     def merge(self, other: "RunSummary") -> "RunSummary":
         if (self.gamma, self.mode) != (other.gamma, other.mode):
@@ -151,34 +107,22 @@ class RunSummary:
         hist = np.zeros(width, dtype=np.int64)
         hist[: len(self.mpc_count_histogram)] += self.mpc_count_histogram
         hist[: len(other.mpc_count_histogram)] += other.mpc_count_histogram
-        merged = RunSummary(self.gamma, self.mode)
-        merged.n_realizations = self.n_realizations + other.n_realizations
-        merged.n_gate_open = self.n_gate_open + other.n_gate_open
-        merged.mpc_count_histogram = hist
-        for name in (
-            "tau_open_count", "tau_open_sum", "tau_open_sumsq",
-            "tau_closed_count", "tau_closed_sum", "tau_closed_sumsq",
-            "pooled_tau_count", "pooled_tau_sum", "pooled_tau_sumsq",
-            "power_sum", "power_sumsq",
-        ):
-            setattr(merged, name, getattr(self, name) + getattr(other, name))
-        merged.aod_histogram = self.aod_histogram + other.aod_histogram
-        merged.aoa_histogram = self.aoa_histogram + other.aoa_histogram
-        return merged
-
-    @staticmethod
-    def _mean_stderr(count, total, sumsq):
-        if count == 0:
-            return math.nan, math.nan
-        mean = total / count
-        if count < 2:
-            return mean, math.nan
-        var = max(sumsq / count - mean * mean, 0.0) * count / (count - 1)
-        return mean, math.sqrt(var / count)
+        return RunSummary(
+            self.gamma,
+            self.mode,
+            n_gate_open=self.n_gate_open + other.n_gate_open,
+            mpc_count_histogram=hist,
+            tau_open=self.tau_open.merge(other.tau_open),
+            tau_closed=self.tau_closed.merge(other.tau_closed),
+            pooled_tau=self.pooled_tau.merge(other.pooled_tau),
+            power=self.power.merge(other.power),
+            aod_histogram=self.aod_histogram + other.aod_histogram,
+            aoa_histogram=self.aoa_histogram + other.aoa_histogram,
+        )
 
     @property
     def empirical_pmf(self) -> np.ndarray:
-        return self.mpc_count_histogram / self.n_realizations
+        return self.mpc_count_histogram / self.power.count
 
     @property
     def toa_mean(self) -> float:
@@ -190,41 +134,26 @@ class RunSummary:
         return self._toa_estimate()[1]
 
     def _toa_estimate(self) -> tuple[float, float]:
-        from .analytics import SPEED_OF_LIGHT
-
-        open_mean, open_se = self._mean_stderr(
-            self.tau_open_count, self.tau_open_sum, self.tau_open_sumsq
-        )
-        closed_mean, closed_se = self._mean_stderr(
-            self.tau_closed_count, self.tau_closed_sum, self.tau_closed_sumsq
-        )
         tau = 0.0
         var = 0.0
-        if self.gamma > 0.0:
-            tau += self.gamma * open_mean
-            var += (self.gamma * open_se) ** 2
-        if self.gamma < 1.0:
-            tau += (1.0 - self.gamma) * closed_mean
-            var += ((1.0 - self.gamma) * closed_se) ** 2
+        for weight, branch in ((self.gamma, self.tau_open), (1.0 - self.gamma, self.tau_closed)):
+            if weight > 0.0:
+                tau += weight * branch.mean
+                var += (weight * branch.stderr) ** 2
         return tau / SPEED_OF_LIGHT, math.sqrt(var) / SPEED_OF_LIGHT
 
     @property
     def pooled_toa_mean(self) -> float:
         """Mean ToA over all components pooled across realizations, seconds."""
-        from .analytics import SPEED_OF_LIGHT
-
-        mean, _ = self._mean_stderr(
-            self.pooled_tau_count, self.pooled_tau_sum, self.pooled_tau_sumsq
-        )
-        return mean / SPEED_OF_LIGHT
+        return self.pooled_tau.mean / SPEED_OF_LIGHT
 
     @property
     def power_mean(self) -> float:
-        return self._mean_stderr(self.n_realizations, self.power_sum, self.power_sumsq)[0]
+        return self.power.mean
 
     @property
     def power_stderr(self) -> float:
-        return self._mean_stderr(self.n_realizations, self.power_sum, self.power_sumsq)[1]
+        return self.power.stderr
 
     def _angle_density(self, counts: np.ndarray) -> np.ndarray:
         total = counts.sum()
@@ -247,24 +176,29 @@ def _histogram_angles(angles: np.ndarray) -> np.ndarray:
     return counts.astype(np.int64)
 
 
-def _process_block(
+def _reduce_block(
+    block: RealizationBlock,
     scenario: Scenario,
     interaction: InteractionModel,
-    block_index: int,
-    block_len: int,
-    seed: int,
-    hist_width: int,
+    rng: np.random.Generator,
 ) -> RunSummary:
-    rng = substream(seed, block_index)
-    block = sample_block(scenario, block_len, rng)
+    """Summarize one sampled block.
+
+    Draws from ``rng``, in this order: the short and the tall bounce
+    coefficients, then one uniform per realization that picks the component
+    for the single-component ToA estimator.  Each active scatterer is one
+    component; a realization's power is the coherent sum over its
+    components, zero when it has none.
+    """
+    block_len = len(block)
     sigma = math.sqrt(interaction.coeff_var)
     r_short = rng.normal(interaction.coeff_mean, sigma, len(block.short_points))
     r_tall = rng.normal(interaction.coeff_mean, sigma, len(block.tall_points))
     pick = rng.random(block_len)
 
     d_prime = scenario.d_prime
-    xs, ys = _class_xy(block.short_points, d_prime)
-    xt, yt = _class_xy(block.tall_points, d_prime)
+    xs, ys = distances(block.short_points, d_prime)
+    xt, yt = distances(block.tall_points, d_prime)
     tau_s = xs + ys
     tau_t = xt + yt
 
@@ -294,37 +228,31 @@ def _process_block(
     ]
     open_mask = block.u[nonempty]
 
-    summary = RunSummary(scenario.gamma, interaction.mode)
-    summary.n_realizations = block_len
-    summary.n_gate_open = int(block.u.sum())
-    hist = np.bincount(n_total, minlength=hist_width).astype(np.int64)
-    summary.mpc_count_histogram = hist
-    for branch_mask, prefix in ((open_mask, "tau_open"), (~open_mask, "tau_closed")):
-        values = tau_choice[branch_mask]
-        setattr(summary, f"{prefix}_count", len(values))
-        setattr(summary, f"{prefix}_sum", float(values.sum()))
-        setattr(summary, f"{prefix}_sumsq", float(np.sum(values * values)))
-    pooled = np.concatenate((tau_s, tau_t))
-    summary.pooled_tau_count = len(pooled)
-    summary.pooled_tau_sum = float(pooled.sum())
-    summary.pooled_tau_sumsq = float(np.sum(pooled * pooled))
-    summary.power_sum = float(power.sum())
-    summary.power_sumsq = float(np.sum(power * power))
     points = np.concatenate((block.short_points, block.tall_points))
-    if len(points):
-        summary.aod_histogram = _histogram_angles(np.arctan2(points[:, 1], points[:, 0]))
-        summary.aoa_histogram = _histogram_angles(
-            np.arctan2(points[:, 1], points[:, 0] - d_prime)
-        )
-    return summary
+    return RunSummary(
+        scenario.gamma,
+        interaction.mode,
+        n_gate_open=int(block.u.sum()),
+        mpc_count_histogram=np.bincount(n_total),
+        tau_open=Moments.of(tau_choice[open_mask]),
+        tau_closed=Moments.of(tau_choice[~open_mask]),
+        pooled_tau=Moments.of(np.concatenate((tau_s, tau_t))),
+        power=Moments.of(power),
+        aod_histogram=_histogram_angles(np.arctan2(points[:, 1], points[:, 0])),
+        aoa_histogram=_histogram_angles(np.arctan2(points[:, 1], points[:, 0] - d_prime)),
+    )
 
 
-def _class_xy(points: np.ndarray, d_prime: float) -> tuple[np.ndarray, np.ndarray]:
-    if len(points) == 0:
-        return np.empty(0), np.empty(0)
-    x = np.hypot(points[:, 0], points[:, 1])
-    y = np.hypot(points[:, 0] - d_prime, points[:, 1])
-    return x, y
+def _process_block(
+    scenario: Scenario,
+    interaction: InteractionModel,
+    block_index: int,
+    block_len: int,
+    seed: int,
+) -> RunSummary:
+    rng = substream(seed, block_index)
+    block = sample_block(scenario, block_len, rng)
+    return _reduce_block(block, scenario, interaction, rng)
 
 
 def run_experiment(
@@ -345,8 +273,6 @@ def run_experiment(
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
     if seed is None:
         seed = scenario.seed
-    mu = mean_active_count(scenario, "short") + mean_active_count(scenario, "tall")
-    hist_width = int(math.ceil(mu + 10.0 * math.sqrt(mu))) + 16
     sizes = [
         min(block_size, n_realizations - start)
         for start in range(0, n_realizations, block_size)
@@ -354,7 +280,7 @@ def run_experiment(
 
     def job(args):
         index, length = args
-        return _process_block(scenario, interaction, index, length, seed, hist_width)
+        return _process_block(scenario, interaction, index, length, seed)
 
     tasks = list(enumerate(sizes))
     if workers > 1:

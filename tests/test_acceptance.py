@@ -126,9 +126,9 @@ def test_acceptance_mean_toa_sweep(gtu):
                 summary = run_experiment(
                     scenario, gtu.interactions["reflection"], 5_000, seed=gtu.seed
                 )
-                no_path_ok &= summary.tau_closed_count == 0
+                no_path_ok &= summary.tau_closed.count == 0
                 if gamma == 0.0:
-                    no_path_ok &= summary.tau_open_count == 0
+                    no_path_ok &= summary.tau_open.count == 0
                 continue
             summary = run_experiment(
                 scenario, gtu.interactions["reflection"], 100_000, seed=gtu.seed

@@ -139,10 +139,38 @@ class TestValidateCommand:
 
 
 class TestErrorHandling:
-    def test_invalid_gamma_names_field(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"scenario": {"gamma": 1.5}})
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"scenario": {"gamma": 1.5}}, "scenario.gamma"),
+            ({"scenario": {"gamma": math.nan}}, "scenario.gamma"),
+            ({"scenario": {"d_prime": math.inf}}, "scenario.d_prime"),
+            ({"scenario": {"short": {"v1": 10**400}}}, "scenario.short.v1"),
+            ({"scenario": {"tall": {"v2": 1e306}}}, "scenario.tall.v2"),
+            ({"interaction": {"frequency_ghz": 1e300}}, "interaction.frequency_ghz"),
+            ({"scenario": {"short": {"density_exponent": 400}}}, "scenario.short.density_exponent"),
+            (
+                {"scenario": {"tall": {"density": 1e300, "density_exponent": 300}}},
+                "scenario.tall.density_exponent",
+            ),
+            ({"realizations": {"pmf": 1.5}}, "realizations.pmf"),
+        ],
+        ids=[
+            "gamma-out-of-range",
+            "gamma-nan",
+            "d_prime-inf",
+            "v1-overflows-float",
+            "v2-overflows-in-meters",
+            "frequency-overflows-in-hertz",
+            "density-exponent-overflow",
+            "density-product-overflow",
+            "realizations-not-integer",
+        ],
+    )
+    def test_invalid_gamma_names_field(self, tmp_path, capsys, overrides, field):
+        cfg = write_config(tmp_path, overrides)
         assert main(["pmf", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
-        assert "scenario.gamma" in capsys.readouterr().err
+        assert field in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"scenario": {"gamm": 0.5}})
@@ -157,6 +185,13 @@ class TestErrorHandling:
     def test_missing_out(self, capsys):
         assert main(["pmf", "--realizations", "2000"]) == 2
         assert "--out" in capsys.readouterr().err
+        # a realization count below one is a usage error too, also for validate
+        for command in ("pmf", "validate"):
+            for count in ("0", "-5"):
+                with pytest.raises(SystemExit) as exc:
+                    main([command, "--realizations", count, "--out", "x.csv"])
+                assert exc.value.code == 2
+                assert "--realizations" in capsys.readouterr().err
 
     def test_unwritable_output(self, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "dir" / "x.csv"

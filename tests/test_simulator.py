@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dvrchan.analytics import InteractionModel, mean_received_power, mean_toa, mpc_pmf
-from dvrchan.pointprocess import Realization, ScattererClass, Scenario, sample_realization, substream
+from dvrchan.pointprocess import RealizationBlock, ScattererClass, Scenario, substream
 from dvrchan.simulator import (
     ANGLE_BIN_EDGES,
     N_ANGLE_BINS,
-    compute_angles,
+    Moments,
+    _reduce_block,
     run_experiment,
-    trace_realization,
 )
 
 GTU_REFLECTION = InteractionModel("reflection", 10.0, 299792458.0 / 2e9, -1.17, 0.4)
@@ -31,22 +33,35 @@ def make_scenario(d_prime=200.0, gamma=0.22, seed=0):
     )
 
 
+def reduce_one(short_points, interaction=GTU_REFLECTION, seed=0):
+    """Reduce a hand-built block of one gate-closed realization."""
+    points = np.asarray(short_points, dtype=float).reshape(-1, 2)
+    block = RealizationBlock(
+        np.array([False]), np.array([len(points)]), np.array([0]), points, np.empty((0, 2))
+    )
+    return _reduce_block(block, make_scenario(), interaction, substream(seed, 0))
+
+
+def binned_center(histogram):
+    """Center of the single occupied angle bin."""
+    (index,) = np.flatnonzero(histogram)
+    return 0.5 * (ANGLE_BIN_EDGES[index] + ANGLE_BIN_EDGES[index + 1])
+
+
 class TestComputeAngles:
+    """Angle binning of hand-placed scatterers, through the block reducer."""
+
     def test_midpoint_scatterer(self):
-        aod, aoa = compute_angles((100.0, 0.0), 200.0)
-        assert aod == 0.0
-        assert aoa == math.pi  # wrapped to +pi, not -pi
+        summary = reduce_one([(100.0, 0.0)])
+        assert binned_center(summary.aod_histogram) == pytest.approx(0.0, abs=1e-12)
+        # pi is a bin center; the arrival angle lands there, not at -pi
+        assert binned_center(summary.aoa_histogram) == pytest.approx(math.pi, abs=1e-12)
 
     def test_perpendicular_scatterer(self):
-        aod, aoa = compute_angles((0.0, 50.0), 200.0)
-        assert aod == pytest.approx(math.pi / 2.0)
-        assert aoa == pytest.approx(math.atan2(50.0, -200.0))
-
-    def test_degenerate_positions_raise(self):
-        with pytest.raises(ValueError):
-            compute_angles((0.0, 0.0), 200.0)
-        with pytest.raises(ValueError):
-            compute_angles((200.0, 0.0), 200.0)
+        summary = reduce_one([(0.0, 50.0)])
+        assert binned_center(summary.aod_histogram) == pytest.approx(math.pi / 2.0, abs=1e-12)
+        index = int(np.flatnonzero(summary.aoa_histogram)[0])
+        assert ANGLE_BIN_EDGES[index] <= math.atan2(50.0, -200.0) < ANGLE_BIN_EDGES[index + 1]
 
     def test_bin_edges_center_zero_and_pi(self):
         assert len(ANGLE_BIN_EDGES) == N_ANGLE_BINS + 1
@@ -58,19 +73,17 @@ class TestComputeAngles:
 
 
 class TestTraceRealization:
+    """Hand-built one-realization blocks traced through the block reducer.
+
+    With ``coeff_var=0`` every bounce coefficient equals ``coeff_mean``.
+    """
+
     def single_point_power(self, mode, x, y):
-        scenario = make_scenario()
         interaction = InteractionModel(mode, 10.0, 0.15, -1.17, 0.0)
-        point = _position_from_distances(200.0, x, y)
-        realization = Realization(0, point[None, :], np.empty((0, 2)))
-        records, power = trace_realization(realization, scenario, interaction, substream(0, 0))
-        assert len(records) == 1
-        rec = records[0]
-        assert rec.x == pytest.approx(x, rel=1e-12)
-        assert rec.y == pytest.approx(y, rel=1e-12)
-        assert rec.tau == pytest.approx(x + y, rel=1e-12)
-        assert rec.r_coeff == -1.17
-        return interaction, power
+        summary = reduce_one(_position_from_distances(200.0, x, y), interaction)
+        assert np.array_equal(summary.mpc_count_histogram, [0, 1])
+        assert summary.pooled_tau.mean == pytest.approx(x + y, rel=1e-12)
+        return interaction, summary.power_mean
 
     def test_single_reflection_power(self):
         x, y = 350.0, 220.0
@@ -86,41 +99,43 @@ class TestTraceRealization:
         # two bounces with the same amplitude (equal distance product) whose
         # path lengths differ by half a wavelength cancel coherently
         interaction = InteractionModel("scattering", 10.0, 2.0, 1.0, 0.0)
-        scenario = make_scenario()
         p1 = _position_from_distances(200.0, 200.0, 50.0)
         p2 = _position_from_distances(200.0, 198.6636703514598, 50.336329648540186)
-        single = trace_realization(
-            Realization(0, p1[None, :], np.empty((0, 2))), scenario, interaction, substream(1, 0)
-        )[1]
-        paired = trace_realization(
-            Realization(0, np.vstack([p1, p2]), np.empty((0, 2))), scenario, interaction, substream(1, 0)
-        )[1]
+        single = reduce_one([p1], interaction, seed=1).power_mean
+        paired = reduce_one([p1, p2], interaction, seed=1).power_mean
         assert single > 0.0
         assert paired < 1e-12 * single
 
     def test_empty_realization(self):
-        records, power = trace_realization(
-            Realization(0, np.empty((0, 2)), np.empty((0, 2))),
-            make_scenario(),
-            GTU_REFLECTION,
-            substream(2, 0),
-        )
-        assert records == []
-        assert power == 0.0
+        summary = reduce_one(np.empty((0, 2)), seed=2)
+        assert summary.power_mean == 0.0
+        assert np.array_equal(summary.mpc_count_histogram, [1])
+        assert summary.aod_histogram.sum() == summary.aoa_histogram.sum() == 0
 
-    def test_record_invariants(self):
-        scenario = make_scenario(gamma=1.0, seed=4)
-        realization = sample_realization(scenario, substream(4, 0))
-        records, _ = trace_realization(realization, scenario, GTU_REFLECTION, substream(4, 1))
-        assert len(records) == len(realization.short_points) + len(realization.tall_points)
-        for rec in records:
-            cls = scenario.scatterer_class(rec.class_kind)
-            assert rec.x <= cls.v1 + 1e-9
-            assert rec.y <= cls.v2 + 1e-9
-            assert abs(rec.x - rec.y) <= 200.0 + 1e-9 <= rec.x + rec.y + 2e-9
-            assert rec.tau == pytest.approx(rec.x + rec.y)
-            assert -math.pi < rec.aod <= math.pi
-            assert -math.pi < rec.aoa <= math.pi
+
+@given(
+    offset=st.sampled_from([0.0, -3e5, 1e9]),
+    values=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=60),
+    cuts=st.lists(st.integers(0, 60), max_size=6),
+)
+@example(offset=1e9, values=np.random.default_rng(0).normal(size=50).tolist(), cuts=[20])
+def test_moments_merge_matches_whole(offset, values, cuts):
+    # A large common offset is where sumsq/n - mean^2 loses the variance:
+    # at 1e9 + O(1) data its rounding error is ~n * eps * 1e18, far above
+    # the tolerance below.
+    x = offset + np.asarray(values)
+    bounds = [0] + sorted(min(c, len(x)) for c in cuts) + [len(x)]
+    merged = Moments()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        merged = merged.merge(Moments.of(x[lo:hi]))
+    whole = Moments.of(x)
+    scale = float(np.max(np.abs(x)))
+    spread = float(np.ptp(x))
+    assert merged.count == whole.count == len(x)
+    assert merged.mean == pytest.approx(whole.mean, rel=1e-9, abs=1e-12 * scale)
+    assert merged.m2 == pytest.approx(
+        whole.m2, rel=1e-9, abs=1e-12 * len(x) * scale * (spread + 1e-9 * scale)
+    )
 
 
 class TestRunExperiment:
@@ -181,8 +196,8 @@ class TestRunExperiment:
         parallel = run_experiment(scenario, GTU_REFLECTION, 25_000, workers=3)
         assert serial.n_gate_open == parallel.n_gate_open
         assert np.array_equal(serial.mpc_count_histogram, parallel.mpc_count_histogram)
-        assert serial.tau_open_sum == parallel.tau_open_sum
-        assert serial.power_sum == parallel.power_sum
+        for name in ("tau_open", "tau_closed", "pooled_tau", "power"):
+            assert getattr(serial, name) == getattr(parallel, name)
         assert np.array_equal(serial.aod_histogram, parallel.aod_histogram)
         assert np.array_equal(serial.aoa_histogram, parallel.aoa_histogram)
 
@@ -190,8 +205,8 @@ class TestRunExperiment:
         scenario = make_scenario(seed=17)
         a = run_experiment(scenario, GTU_REFLECTION, 5_000)
         b = run_experiment(scenario, GTU_REFLECTION, 5_000)
-        assert a.power_sum == b.power_sum
-        assert a.tau_open_sum == b.tau_open_sum
+        for name in ("tau_open", "tau_closed", "pooled_tau", "power"):
+            assert getattr(a, name) == getattr(b, name)
         assert np.array_equal(a.mpc_count_histogram, b.mpc_count_histogram)
 
     def test_angle_densities_normalized(self):
@@ -201,6 +216,9 @@ class TestRunExperiment:
         assert float(summary.aod_density.sum() * width) == pytest.approx(1.0)
         assert float(summary.aoa_density.sum() * width) == pytest.approx(1.0)
         assert summary.aod_histogram.sum() == summary.aoa_histogram.sum()
+        # every component was binned
+        counts = summary.mpc_count_histogram
+        assert summary.aod_histogram.sum() == np.arange(len(counts)) @ counts
 
     def test_invalid_realization_count(self):
         with pytest.raises(ValueError):
