@@ -98,6 +98,12 @@ class InteractionModel:
     def phase(self, x, y):
         return 2.0 * math.pi * self.g1(x, y) / self.wavelength
 
+    def phasor(self, x, y, r):
+        """In-phase and quadrature parts of ``r / g2 * exp(i * phase)``."""
+        theta = self.phase(x, y)
+        amp = r / self.g2(x, y)
+        return amp * np.cos(theta), amp * np.sin(theta)
+
 
 @dataclass(frozen=True)
 class MomentTerms:
@@ -269,6 +275,23 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
+def _phasors(scenario, class_kind, interaction, n_mc, rng):
+    """``n_mc`` bounce phasors of one class, as in-phase and quadrature arrays.
+
+    Draws the scatterer positions from the exact joint distance law (uniform
+    over the class lens) first, then independent normal coefficients.
+    """
+    if n_mc < 10_000:
+        raise ValueError(f"n_mc must be >= 10000 for stable moments, got {n_mc}")
+    lens = _class_lens(scenario, class_kind)
+    if lens_area(lens) <= 0.0:
+        raise DegenerateScenarioError(f"{class_kind} class lens is empty")
+    points = sample_uniform_in_lens(lens, rng, size=n_mc)
+    x, y = distances(points, scenario.d_prime)
+    r = rng.normal(interaction.coeff_mean, math.sqrt(interaction.coeff_var), n_mc)
+    return interaction.phasor(x, y, r)
+
+
 def moment_terms(
     scenario: Scenario,
     class_kind: str,
@@ -276,24 +299,9 @@ def moment_terms(
     n_mc: int,
     rng=None,
 ) -> MomentTerms:
-    """Estimate the bounce moments for one class by Monte Carlo.
-
-    Draws ``n_mc`` scatterer positions from the exact joint distance law
-    (uniform over the class lens) and independent normal coefficients.
-    """
-    if n_mc < 10_000:
-        raise ValueError(f"n_mc must be >= 10000 for stable moments, got {n_mc}")
-    rng = _as_rng(rng)
-    lens = _class_lens(scenario, class_kind)
-    if lens_area(lens) <= 0.0:
-        raise DegenerateScenarioError(f"{class_kind} class lens is empty")
-    points = sample_uniform_in_lens(lens, rng, size=n_mc)
-    x, y = distances(points, scenario.d_prime)
-    theta = interaction.phase(x, y)
-    r = rng.normal(interaction.coeff_mean, math.sqrt(interaction.coeff_var), n_mc)
-    amp = r / interaction.g2(x, y)
+    """Estimate the bounce moments for one class from ``n_mc`` Monte Carlo phasors."""
     results = []
-    for sample in (amp * np.cos(theta), amp * np.sin(theta)):
+    for sample in _phasors(scenario, class_kind, interaction, n_mc, _as_rng(rng)):
         mean = float(sample.mean())
         centered = sample - mean
         m2 = float(np.mean(centered**2))
@@ -306,68 +314,41 @@ def moment_terms(
     return MomentTerms(h, g, hp, gp, se_h, se_g, se_hp, se_gp)
 
 
-_ZERO_TERMS = MomentTerms(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-
 def mean_received_power(
     scenario: Scenario,
     interaction: InteractionModel,
     n_mc: int,
     rng=None,
 ) -> tuple[float, float]:
-    """Mean NLoS received power in watts, with propagated standard error.
+    """Mean NLoS received power in watts, with delta-method standard error.
 
-    Assembles the closed-form second-moment expression from per-class
-    Monte Carlo bounce moments; classes with an empty lens contribute
-    nothing.
+    Campbell's formula for the second moment of the gated Poisson sum of
+    bounce phasors ``z``; each class's ``E[z]`` and ``E|z|^2`` come from
+    ``n_mc`` Monte Carlo phasors, and a class with an empty lens adds nothing.
     """
     rng = _as_rng(rng)
     mu_s, mu_t = _mus(scenario)
     if mu_s <= 0.0 and mu_t <= 0.0:
         raise DegenerateScenarioError("both scatterer classes are degenerate")
-    terms = {}
-    for kind, mu in (("short", mu_s), ("tall", mu_t)):
-        if mu > 0.0:
-            terms[kind] = moment_terms(scenario, kind, interaction, n_mc, rng)
-        else:
-            terms[kind] = _ZERO_TERMS
-    k0 = interaction.k0
     gamma = scenario.gamma
-    mus = {"short": mu_s, "tall": mu_t}
-
-    s_cos = sum(terms[k].h * mus[k] for k in terms)
-    s_sin = sum(terms[k].h_prime * mus[k] for k in terms)
-    quad_sum = sum(
-        (terms[k].g + terms[k].h**2 + terms[k].g_prime + terms[k].h_prime**2) * mus[k]
-        for k in terms
-    )
-    ts = terms["short"]
-    short_only = (
-        (ts.g + ts.h**2 + ts.g_prime + ts.h_prime**2) * mu_s
-        + (ts.h * mu_s) ** 2
-        + (ts.h_prime * mu_s) ** 2
-    )
-    value = gamma * k0 * (quad_sum + s_cos**2 + s_sin**2) + (1.0 - gamma) * k0 * short_only
-
-    # First-order error propagation; per-class streams are independent and
-    # the mean/variance estimator covariances within a class are neglected.
+    # Per class: mu_k, the weight w_k of E|z_k|^2 (the tall class is present
+    # with probability gamma), its share in the gate-closed sum, and phasors.
+    classes = [
+        (mu, weight, closed, _phasors(scenario, kind, interaction, n_mc, rng))
+        for kind, mu, weight, closed in (("short", mu_s, 1.0, 1.0), ("tall", mu_t, gamma, 0.0))
+        if mu > 0.0
+    ]
+    means = [mu * complex(c.mean(), s.mean()) for mu, _, _, (c, s) in classes]
+    m_open = sum(means)
+    m_closed = sum(closed * m for m, (_, _, closed, _) in zip(means, classes))
+    value = gamma * abs(m_open) ** 2 + (1.0 - gamma) * abs(m_closed) ** 2
+    # Each sample's influence on the value; G_k = dV/dE[z_k] / (2 mu_k).  The
+    # classes are drawn independently, so their variances add.
     variance = 0.0
-    for kind in terms:
-        t = terms[kind]
-        mu = mus[kind]
-        d_h = gamma * k0 * (2.0 * t.h * mu + 2.0 * s_cos * mu)
-        d_hp = gamma * k0 * (2.0 * t.h_prime * mu + 2.0 * s_sin * mu)
-        d_g = gamma * k0 * mu
-        d_gp = gamma * k0 * mu
-        if kind == "short":
-            d_h += (1.0 - gamma) * k0 * (2.0 * t.h * mu + 2.0 * t.h * mu * mu)
-            d_hp += (1.0 - gamma) * k0 * (2.0 * t.h_prime * mu + 2.0 * t.h_prime * mu * mu)
-            d_g += (1.0 - gamma) * k0 * mu
-            d_gp += (1.0 - gamma) * k0 * mu
-        variance += (
-            (d_h * t.se_h) ** 2
-            + (d_hp * t.se_h_prime) ** 2
-            + (d_g * t.se_g) ** 2
-            + (d_gp * t.se_g_prime) ** 2
-        )
-    return value, math.sqrt(variance)
+    for mu, weight, closed, (c, s) in classes:
+        grad = gamma * m_open + (1.0 - gamma) * closed * m_closed
+        energy = c * c + s * s
+        value += mu * weight * float(energy.mean())
+        influence = mu * (weight * energy + 2.0 * (grad.real * c + grad.imag * s))
+        variance += float(influence.var(ddof=1)) / n_mc
+    return interaction.k0 * value, interaction.k0 * math.sqrt(variance)

@@ -239,11 +239,19 @@ def cmd_validate(cfg: RunConfig, seed: int, n: int | None, workers: int) -> int:
     return 0 if failed == 0 else 1
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, minimum: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -262,9 +270,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", default=None, help="JSON config (default: GTU preset)")
         p.add_argument("--out", default=None, help="output CSV path")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
+        p.add_argument("--seed", type=_nonnegative_int, default=None, help="override config seed")
         p.add_argument("--realizations", type=_positive_int, help="override realization count")
-        p.add_argument("--workers", type=int, default=1, help="parallel worker count")
+        p.add_argument("--workers", type=_positive_int, default=1, help="parallel worker count")
     return parser
 
 
@@ -279,9 +287,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     seed = cfg.seed if args.seed is None else args.seed
-    workers = max(args.workers, 1)
     if args.command == "validate":
-        return cmd_validate(cfg, seed, args.realizations, workers)
+        return cmd_validate(cfg, seed, args.realizations, args.workers)
     if args.out is None:
         print("error: --out is required for this command", file=sys.stderr)
         return 2
@@ -293,7 +300,7 @@ def main(argv=None) -> int:
         "angles": cmd_angles,
     }[args.command]
     try:
-        return handler(cfg, seed, n, workers, args.out)
+        return handler(cfg, seed, n, args.workers, args.out)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1

@@ -9,6 +9,7 @@ result.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -207,12 +208,9 @@ def _reduce_block(
     re = np.zeros(block_len)
     im = np.zeros(block_len)
     for x, y, r, seg in ((xs, ys, r_short, seg_s), (xt, yt, r_tall, seg_t)):
-        if len(x) == 0:
-            continue
-        theta = interaction.phase(x, y)
-        amp = r / interaction.g2(x, y)
-        re += np.bincount(seg, weights=amp * np.cos(theta), minlength=block_len)
-        im += np.bincount(seg, weights=-amp * np.sin(theta), minlength=block_len)
+        c, s = interaction.phasor(x, y, r)
+        re += np.bincount(seg, weights=c, minlength=block_len)
+        im += np.bincount(seg, weights=s, minlength=block_len)
     power = interaction.k0 * (re * re + im * im)
 
     n_total = block.n_short + block.n_tall
@@ -278,17 +276,6 @@ def run_experiment(
         for start in range(0, n_realizations, block_size)
     ]
 
-    def job(args):
-        index, length = args
-        return _process_block(scenario, interaction, index, length, seed)
-
-    tasks = list(enumerate(sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(job, tasks))
-    else:
-        partials = [job(t) for t in tasks]
-    summary = partials[0]
-    for part in partials[1:]:
-        summary = summary.merge(part)
-    return summary
+    job = functools.partial(_process_block, scenario, interaction, seed=seed)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return functools.reduce(RunSummary.merge, pool.map(job, range(len(sizes)), sizes))

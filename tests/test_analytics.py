@@ -302,6 +302,20 @@ class TestMeanReceivedPower:
         with pytest.raises(DegenerateScenarioError):
             dv.mean_received_power(scenario, interaction, 10_000, rng=9)
 
+    @pytest.mark.parametrize("d_prime", [200.0, 1000.0])
+    def test_stderr_matches_seed_spread(self, gtu, d_prime):
+        # the reported standard error must match the spread of the value over
+        # independent seeds, covariances within a class included
+        scenario = gtu.scenario(d_prime=d_prime)
+        results = np.array(
+            [
+                dv.mean_received_power(scenario, gtu.interactions["reflection"], 10_000, rng=seed)
+                for seed in range(300)
+            ]
+        )
+        ratio = np.median(results[:, 1]) / np.std(results[:, 0], ddof=1)
+        assert 0.92 <= ratio <= 1.08
+
 
 class TestInteractionModel:
     def test_mode_constants(self):

@@ -185,13 +185,21 @@ class TestErrorHandling:
     def test_missing_out(self, capsys):
         assert main(["pmf", "--realizations", "2000"]) == 2
         assert "--out" in capsys.readouterr().err
-        # a realization count below one is a usage error too, also for validate
+        # a realization or worker count below one and a negative seed are
+        # usage errors too, also for validate
+        bad = (
+            ("--realizations", "0"),
+            ("--realizations", "-5"),
+            ("--seed", "-1"),
+            ("--workers", "0"),
+            ("--workers", "-3"),
+        )
         for command in ("pmf", "validate"):
-            for count in ("0", "-5"):
+            for flag, value in bad:
                 with pytest.raises(SystemExit) as exc:
-                    main([command, "--realizations", count, "--out", "x.csv"])
+                    main([command, flag, value, "--out", "x.csv"])
                 assert exc.value.code == 2
-                assert "--realizations" in capsys.readouterr().err
+                assert flag in capsys.readouterr().err
 
     def test_unwritable_output(self, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "dir" / "x.csv"
