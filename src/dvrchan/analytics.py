@@ -8,8 +8,9 @@ through single-bounce NLoS paths.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import integrate, stats
@@ -206,6 +207,12 @@ def mean_distance_ms(scenario: Scenario, class_kind: str) -> float:
 
 
 def _mean_path_length(scenario: Scenario, class_kind: str) -> float:
+    # Independent of gamma and seed, so a sweep computes it once per d'.
+    return _cached_path_length(replace(scenario, gamma=0.0, seed=0), class_kind)
+
+
+@functools.lru_cache(maxsize=256)
+def _cached_path_length(scenario: Scenario, class_kind: str) -> float:
     return mean_distance_bs(scenario, class_kind) + mean_distance_ms(scenario, class_kind)
 
 

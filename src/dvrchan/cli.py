@@ -65,7 +65,9 @@ def _pmf_support(scenario) -> np.ndarray:
 def cmd_pmf(cfg: RunConfig, seed: int, n: int, workers: int, out: str) -> int:
     scenario = cfg.scenario(seed=seed)
     mode = next(iter(cfg.interactions))
-    summary = run_experiment(scenario, cfg.interactions[mode], n, seed, workers)
+    summary = run_experiment(
+        scenario, cfg.interactions[mode], n, seed, workers, statistics=set()
+    )
     support = _pmf_support(scenario)
     analytic = mpc_pmf(support, scenario)
     empirical = np.zeros(len(support))
@@ -93,7 +95,9 @@ def cmd_toa_sweep(cfg: RunConfig, seed: int, n: int, workers: int, out: str) -> 
                 # No-path grid point: neither estimator is defined.
                 rows.append((d_prime, gamma, math.nan, math.nan, math.nan))
                 continue
-            summary = run_experiment(scenario, cfg.interactions[mode], n, seed, workers)
+            summary = run_experiment(
+                scenario, cfg.interactions[mode], n, seed, workers, statistics={"toa"}
+            )
             rows.append(
                 (
                     d_prime,
@@ -116,7 +120,9 @@ def cmd_power(cfg: RunConfig, seed: int, n: int, workers: int, out: str) -> int:
             theory, theory_se = mean_received_power(
                 scenario, interaction, n_mc=max(10 * n, 10_000), rng=substream(seed, 0)
             )
-            summary = run_experiment(scenario, interaction, n, seed, workers)
+            summary = run_experiment(
+                scenario, interaction, n, seed, workers, statistics={"power"}
+            )
             rows.append(
                 (d_prime, mode, theory, theory_se, summary.power_mean, summary.power_stderr)
             )
@@ -135,7 +141,9 @@ def cmd_power(cfg: RunConfig, seed: int, n: int, workers: int, out: str) -> int:
 def cmd_angles(cfg: RunConfig, seed: int, n: int, workers: int, out: str) -> int:
     scenario = cfg.scenario(seed=seed)
     mode = next(iter(cfg.interactions))
-    summary = run_experiment(scenario, cfg.interactions[mode], n, seed, workers)
+    summary = run_experiment(
+        scenario, cfg.interactions[mode], n, seed, workers, statistics={"angles"}
+    )
     centers = 0.5 * (ANGLE_BIN_EDGES[:-1] + ANGLE_BIN_EDGES[1:])
     rows = [
         (float(c), float(a), float(b))
@@ -197,7 +205,7 @@ def _check_power_consistency(cfg, scenario, seed, n) -> list[tuple[str, bool, st
         theory, theory_se = mean_received_power(
             scenario, interaction, n_mc=max(10 * n, 10_000), rng=substream(seed, 2000)
         )
-        summary = run_experiment(scenario, interaction, n, seed)
+        summary = run_experiment(scenario, interaction, n, seed, statistics={"power"})
         diff = abs(theory - summary.power_mean)
         bound = 3.0 * math.hypot(theory_se, summary.power_stderr)
         checks.append(

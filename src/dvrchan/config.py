@@ -53,6 +53,12 @@ GTU_PRESET = {
     "seed": 20260824,
 }
 
+# Largest mean number of scatterers of one class per realization that a
+# config may ask for: far above any published density, and far below the
+# counts at which the Poisson sampler fails.
+MAX_MEAN_SCATTERERS = 1e7
+
+
 def _check_keys(data: dict, schema: dict, path: str = ""):
     for key, value in data.items():
         here = f"{path}.{key}" if path else key
@@ -153,6 +159,13 @@ def _load_class(kind: str, data: dict, path: str, unit: float) -> ScattererClass
         density = math.inf
     if not math.isfinite(density):
         raise ConfigError(f"{path}.density_exponent", f"{mantissa} * 10^{exponent} overflows")
+    # pi * min(v1, v2)^2 bounds the class's lens area at every d'.
+    most = density * math.pi * min(v1, v2) ** 2
+    if most > MAX_MEAN_SCATTERERS:
+        raise ConfigError(
+            f"{path}.density",
+            f"up to {most:.3g} scatterers per realization; the limit is {MAX_MEAN_SCATTERERS:.0e}",
+        )
     return ScattererClass(kind=kind, v1=v1, v2=v2, density=density)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ __all__ = [
     "ANGLE_BIN_EDGES",
     "Moments",
     "RunSummary",
+    "STATISTICS",
     "run_experiment",
 ]
 
@@ -35,6 +37,10 @@ _BIN_WIDTH = 2.0 * math.pi / N_ANGLE_BINS
 ANGLE_BIN_EDGES = -math.pi + _BIN_WIDTH / 2.0 + np.arange(N_ANGLE_BINS + 1) * _BIN_WIDTH
 
 _BLOCK_SIZE = 8192
+
+# Optional statistics a run can compute.  The count histogram and the gate
+# count are always computed.
+STATISTICS = frozenset({"toa", "pooled_toa", "power", "angles"})
 
 
 @dataclass(frozen=True)
@@ -86,12 +92,15 @@ class RunSummary:
     and gate-closed branches; the single-component time-of-arrival estimator
     reweights the branches by the gate probability so that its expectation
     matches the closed-form mean regardless of how often a branch is empty.
-    ``power`` holds one value per realization, so ``power.count`` is the
-    number of realizations.
+    ``mpc_count_histogram`` counts every realization once, so its sum is the
+    number of realizations.  ``statistics`` names the optional statistics
+    held (see :data:`STATISTICS`); each one not held reads as an empty
+    ``Moments()`` (NaN mean) or a zero-length angle histogram.
     """
 
     gamma: float
     mode: str
+    statistics: frozenset
     n_gate_open: int
     mpc_count_histogram: np.ndarray
     tau_open: Moments
@@ -104,6 +113,8 @@ class RunSummary:
     def merge(self, other: "RunSummary") -> "RunSummary":
         if (self.gamma, self.mode) != (other.gamma, other.mode):
             raise ValueError("cannot merge summaries from different configurations")
+        if self.statistics != other.statistics:
+            raise ValueError("cannot merge summaries holding different statistics")
         width = max(len(self.mpc_count_histogram), len(other.mpc_count_histogram))
         hist = np.zeros(width, dtype=np.int64)
         hist[: len(self.mpc_count_histogram)] += self.mpc_count_histogram
@@ -111,6 +122,7 @@ class RunSummary:
         return RunSummary(
             self.gamma,
             self.mode,
+            self.statistics,
             n_gate_open=self.n_gate_open + other.n_gate_open,
             mpc_count_histogram=hist,
             tau_open=self.tau_open.merge(other.tau_open),
@@ -123,7 +135,7 @@ class RunSummary:
 
     @property
     def empirical_pmf(self) -> np.ndarray:
-        return self.mpc_count_histogram / self.power.count
+        return self.mpc_count_histogram / self.mpc_count_histogram.sum()
 
     @property
     def toa_mean(self) -> float:
@@ -182,14 +194,15 @@ def _reduce_block(
     scenario: Scenario,
     interaction: InteractionModel,
     rng: np.random.Generator,
+    statistics: frozenset = STATISTICS,
 ) -> RunSummary:
-    """Summarize one sampled block.
+    """Summarize one sampled block, computing only the requested ``statistics``.
 
-    Draws from ``rng``, in this order: the short and the tall bounce
-    coefficients, then one uniform per realization that picks the component
-    for the single-component ToA estimator.  Each active scatterer is one
-    component; a realization's power is the coherent sum over its
-    components, zero when it has none.
+    Draws from ``rng``, in this order and whatever is requested: the short
+    and the tall bounce coefficients, then one uniform per realization that
+    picks the component for the single-component ToA estimator.  Each active
+    scatterer is one component; a realization's power is the coherent sum
+    over its components, zero when it has none.
     """
     block_len = len(block)
     sigma = math.sqrt(interaction.coeff_var)
@@ -198,46 +211,63 @@ def _reduce_block(
     pick = rng.random(block_len)
 
     d_prime = scenario.d_prime
-    xs, ys = distances(block.short_points, d_prime)
-    xt, yt = distances(block.tall_points, d_prime)
-    tau_s = xs + ys
-    tau_t = xt + yt
-
-    seg_s = np.repeat(np.arange(block_len), block.n_short)
-    seg_t = np.repeat(np.arange(block_len), block.n_tall)
-    re = np.zeros(block_len)
-    im = np.zeros(block_len)
-    for x, y, r, seg in ((xs, ys, r_short, seg_s), (xt, yt, r_tall, seg_t)):
-        c, s = interaction.phasor(x, y, r)
-        re += np.bincount(seg, weights=c, minlength=block_len)
-        im += np.bincount(seg, weights=s, minlength=block_len)
-    power = interaction.k0 * (re * re + im * im)
-
     n_total = block.n_short + block.n_tall
-    nonempty = np.flatnonzero(n_total > 0)
-    idx = np.minimum((pick[nonempty] * n_total[nonempty]).astype(np.int64), n_total[nonempty] - 1)
-    is_short = idx < block.n_short[nonempty]
-    tau_choice = np.empty(len(nonempty))
-    sel = nonempty[is_short]
-    tau_choice[is_short] = tau_s[block.short_offsets[sel] + idx[is_short]]
-    sel = nonempty[~is_short]
-    tau_choice[~is_short] = tau_t[
-        block.tall_offsets[sel] + idx[~is_short] - block.n_short[sel]
-    ]
-    open_mask = block.u[nonempty]
+    tau_open = tau_closed = pooled_tau = power = Moments()
+    aod = aoa = np.zeros(0, dtype=np.int64)
 
-    points = np.concatenate((block.short_points, block.tall_points))
+    if "toa" in statistics:
+        nonempty = np.flatnonzero(n_total > 0)
+        n_comp = n_total[nonempty]
+        idx = np.minimum((pick[nonempty] * n_comp).astype(np.int64), n_comp - 1)
+        is_short = idx < block.n_short[nonempty]
+        picked = np.empty((len(nonempty), 2))
+        sel = nonempty[is_short]
+        picked[is_short] = block.short_points[block.short_offsets[sel] + idx[is_short]]
+        sel = nonempty[~is_short]
+        picked[~is_short] = block.tall_points[
+            block.tall_offsets[sel] + idx[~is_short] - block.n_short[sel]
+        ]
+        x, y = distances(picked, d_prime)
+        tau_choice = x + y
+        open_mask = block.u[nonempty]
+        tau_open = Moments.of(tau_choice[open_mask])
+        tau_closed = Moments.of(tau_choice[~open_mask])
+
+    if "pooled_toa" in statistics or "power" in statistics:
+        xs, ys = distances(block.short_points, d_prime)
+        xt, yt = distances(block.tall_points, d_prime)
+        if "pooled_toa" in statistics:
+            pooled_tau = Moments.of(np.concatenate((xs + ys, xt + yt)))
+        if "power" in statistics:
+            re = np.zeros(block_len)
+            im = np.zeros(block_len)
+            for x, y, r, counts in (
+                (xs, ys, r_short, block.n_short),
+                (xt, yt, r_tall, block.n_tall),
+            ):
+                seg = np.repeat(np.arange(block_len), counts)
+                c, s = interaction.phasor(x, y, r)
+                re += np.bincount(seg, weights=c, minlength=block_len)
+                im += np.bincount(seg, weights=s, minlength=block_len)
+            power = Moments.of(interaction.k0 * (re * re + im * im))
+
+    if "angles" in statistics:
+        points = np.concatenate((block.short_points, block.tall_points))
+        aod = _histogram_angles(np.arctan2(points[:, 1], points[:, 0]))
+        aoa = _histogram_angles(np.arctan2(points[:, 1], points[:, 0] - d_prime))
+
     return RunSummary(
         scenario.gamma,
         interaction.mode,
+        statistics,
         n_gate_open=int(block.u.sum()),
         mpc_count_histogram=np.bincount(n_total),
-        tau_open=Moments.of(tau_choice[open_mask]),
-        tau_closed=Moments.of(tau_choice[~open_mask]),
-        pooled_tau=Moments.of(np.concatenate((tau_s, tau_t))),
-        power=Moments.of(power),
-        aod_histogram=_histogram_angles(np.arctan2(points[:, 1], points[:, 0])),
-        aoa_histogram=_histogram_angles(np.arctan2(points[:, 1], points[:, 0] - d_prime)),
+        tau_open=tau_open,
+        tau_closed=tau_closed,
+        pooled_tau=pooled_tau,
+        power=power,
+        aod_histogram=aod,
+        aoa_histogram=aoa,
     )
 
 
@@ -247,10 +277,11 @@ def _process_block(
     block_index: int,
     block_len: int,
     seed: int,
+    statistics: frozenset,
 ) -> RunSummary:
     rng = substream(seed, block_index)
     block = sample_block(scenario, block_len, rng)
-    return _reduce_block(block, scenario, interaction, rng)
+    return _reduce_block(block, scenario, interaction, rng, statistics)
 
 
 def run_experiment(
@@ -260,15 +291,23 @@ def run_experiment(
     seed: int | None = None,
     workers: int = 1,
     block_size: int = _BLOCK_SIZE,
+    *,
+    statistics: Iterable[str] = STATISTICS,
 ) -> RunSummary:
     """Run a Monte Carlo experiment and aggregate its statistics.
 
     Realizations are partitioned into fixed-size blocks with deterministic
     per-block RNG substreams and merged in block order, so the result depends
     only on (scenario, seed, n_realizations), never on the worker count.
+    ``statistics`` is a subset of :data:`STATISTICS` naming the optional
+    statistics to compute; every block draws the same random numbers whatever
+    it names, so each computed statistic equals that of a full run.
     """
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
+    statistics = frozenset(statistics)
+    if not statistics <= STATISTICS:
+        raise ValueError(f"unknown statistics {sorted(statistics - STATISTICS)}")
     if seed is None:
         seed = scenario.seed
     sizes = [
@@ -276,6 +315,8 @@ def run_experiment(
         for start in range(0, n_realizations, block_size)
     ]
 
-    job = functools.partial(_process_block, scenario, interaction, seed=seed)
+    job = functools.partial(
+        _process_block, scenario, interaction, seed=seed, statistics=statistics
+    )
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return functools.reduce(RunSummary.merge, pool.map(job, range(len(sizes)), sizes))

@@ -124,14 +124,16 @@ def test_acceptance_mean_toa_sweep(gtu):
                 # the simulator must agree that the gate-closed branch never
                 # produces a component
                 summary = run_experiment(
-                    scenario, gtu.interactions["reflection"], 5_000, seed=gtu.seed
+                    scenario, gtu.interactions["reflection"], 5_000, seed=gtu.seed,
+                    statistics={"toa"},
                 )
                 no_path_ok &= summary.tau_closed.count == 0
                 if gamma == 0.0:
                     no_path_ok &= summary.tau_open.count == 0
                 continue
             summary = run_experiment(
-                scenario, gtu.interactions["reflection"], 100_000, seed=gtu.seed
+                scenario, gtu.interactions["reflection"], 100_000, seed=gtu.seed,
+                statistics={"toa"},
             )
             rel = abs(summary.toa_mean / analytic - 1.0)
             worst = max(worst, rel)

@@ -154,6 +154,10 @@ class TestErrorHandling:
                 "scenario.tall.density_exponent",
             ),
             ({"realizations": {"pmf": 1.5}}, "realizations.pmf"),
+            (
+                {"scenario": {"short": {"density": 1e300, "density_exponent": 0}}},
+                "scenario.short.density",
+            ),
         ],
         ids=[
             "gamma-out-of-range",
@@ -165,6 +169,7 @@ class TestErrorHandling:
             "density-exponent-overflow",
             "density-product-overflow",
             "realizations-not-integer",
+            "density-mean-count-too-large",
         ],
     )
     def test_invalid_gamma_names_field(self, tmp_path, capsys, overrides, field):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from dvrchan.pointprocess import RealizationBlock, ScattererClass, Scenario, sub
 from dvrchan.simulator import (
     ANGLE_BIN_EDGES,
     N_ANGLE_BINS,
+    STATISTICS,
     Moments,
     _reduce_block,
     run_experiment,
@@ -223,3 +225,61 @@ class TestRunExperiment:
     def test_invalid_realization_count(self):
         with pytest.raises(ValueError):
             run_experiment(make_scenario(), GTU_REFLECTION, 0)
+
+
+_MOMENT_FIELDS = {
+    "toa": ("tau_open", "tau_closed"),
+    "pooled_toa": ("pooled_tau",),
+    "power": ("power",),
+}
+_ALL_SUBSETS = [
+    frozenset(names)
+    for k in range(len(STATISTICS) + 1)
+    for names in itertools.combinations(sorted(STATISTICS), k)
+]
+
+
+class TestStatisticSets:
+    """Every statistic subset draws the same random numbers as a full run."""
+
+    @pytest.mark.parametrize("seed", [21, 22])
+    def test_requested_fields_match_full_run(self, seed):
+        scenario = make_scenario(seed=seed)
+        full = run_experiment(scenario, GTU_REFLECTION, 3_000, block_size=1_000)
+        assert full.statistics == STATISTICS
+        for workers, wanted in itertools.product((1, 3), _ALL_SUBSETS):
+            part = run_experiment(
+                scenario, GTU_REFLECTION, 3_000, workers=workers, block_size=1_000,
+                statistics=wanted,
+            )
+            assert part.statistics == wanted
+            assert part.n_gate_open == full.n_gate_open
+            assert np.array_equal(part.mpc_count_histogram, full.mpc_count_histogram)
+            assert np.array_equal(part.empirical_pmf, full.empirical_pmf)
+            for name, fields in _MOMENT_FIELDS.items():
+                for field in fields:
+                    if name in wanted:
+                        assert getattr(part, field) == getattr(full, field)
+                    else:
+                        assert getattr(part, field).count == 0
+                        assert math.isnan(getattr(part, field).mean)
+            for field in ("aod_histogram", "aoa_histogram"):
+                expected = getattr(full, field) if "angles" in wanted else np.zeros(0)
+                assert np.array_equal(getattr(part, field), expected)
+            if "toa" not in wanted:
+                assert math.isnan(part.toa_mean)
+            if "power" not in wanted:
+                assert math.isnan(part.power_mean)
+
+    def test_merge_rejects_different_sets(self):
+        scenario = make_scenario(seed=23)
+        a = run_experiment(scenario, GTU_REFLECTION, 500, statistics={"toa"})
+        b = run_experiment(scenario, GTU_REFLECTION, 500, statistics={"toa", "power"})
+        with pytest.raises(ValueError, match="different statistics"):
+            a.merge(b)
+        with pytest.raises(ValueError, match="different statistics"):
+            b.merge(a)
+
+    def test_unknown_statistic_rejected(self):
+        with pytest.raises(ValueError, match="unknown statistics"):
+            run_experiment(make_scenario(), GTU_REFLECTION, 100, statistics={"tao"})
