@@ -175,7 +175,7 @@ def _check_pmf_normalization(scenario) -> tuple[bool, str]:
     return total > 1.0 - 1e-10, f"pmf mass {total:.15f}"
 
 
-def _check_ks_marginals(cfg, scenario, seed, n) -> list[tuple[str, bool, str]]:
+def _check_ks_marginals(scenario, seed, n) -> list[tuple[str, bool, str]]:
     checks = []
     for offset, kind in enumerate(("short", "tall")):
         if mean_active_count(scenario, kind) <= 0.0:
@@ -199,13 +199,40 @@ def _check_ks_marginals(cfg, scenario, seed, n) -> list[tuple[str, bool, str]]:
     return checks
 
 
-def _check_power_consistency(cfg, scenario, seed, n) -> list[tuple[str, bool, str]]:
+def _lens_holds_link_end(scenario) -> bool:
+    """Whether a class that contributes scatterers has a lens containing the BS or the MS.
+
+    Scattering-mode amplitudes fall as ``1/(x y)``, so ``E[1/(x y)^2]``, and
+    with it the mean received power, diverges over such a lens.
+    """
+    for kind in ("short", "tall"):
+        cls = scenario.scatterer_class(kind)
+        contributes = mean_active_count(scenario, kind) > 0.0 and (
+            kind == "short" or scenario.gamma > 0.0
+        )
+        if contributes and scenario.d_prime <= max(cls.v1, cls.v2):
+            return True
+    return False
+
+
+def _check_power_consistency(cfg, scenario, seed, n, workers) -> list[tuple[str, bool, str]]:
     checks = []
     for mode, interaction in cfg.interactions.items():
+        if mode == "scattering" and _lens_holds_link_end(scenario):
+            checks.append(
+                (
+                    f"power-dual-{mode}",
+                    True,
+                    "skipped: infinite mean, a class lens contains the BS or the MS",
+                )
+            )
+            continue
         theory, theory_se = mean_received_power(
             scenario, interaction, n_mc=max(10 * n, 10_000), rng=substream(seed, 2000)
         )
-        summary = run_experiment(scenario, interaction, n, seed, statistics={"power"})
+        summary = run_experiment(
+            scenario, interaction, n, seed, workers, statistics={"power"}
+        )
         diff = abs(theory - summary.power_mean)
         bound = 3.0 * math.hypot(theory_se, summary.power_stderr)
         checks.append(
@@ -237,8 +264,10 @@ def cmd_validate(cfg: RunConfig, seed: int, n: int | None, workers: int) -> int:
             checks.append(("degenerate-no-path", True, "no-path condition reported"))
     else:
         n_ks = n or 100_000
-        checks.extend(_check_ks_marginals(cfg, scenario, seed, n_ks))
-        checks.extend(_check_power_consistency(cfg, scenario, seed, cfg.realizations["power"]))
+        checks.extend(_check_ks_marginals(scenario, seed, n_ks))
+        checks.extend(
+            _check_power_consistency(cfg, scenario, seed, cfg.realizations["power"], workers)
+        )
     failed = 0
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")

@@ -34,6 +34,10 @@ __all__ = [
 # boundaries) are rounded up to zero when within this relative slack.
 _RADICAND_SLACK = 1e-9
 
+# Candidates per slice of the lens sampler's inside test, small enough that
+# the slice and its temporaries stay in cache.
+_CHUNK = 16384
+
 
 class KernelDomainError(ValueError):
     """Kernel evaluated where a square-root radicand is non-positive."""
@@ -173,21 +177,37 @@ def sample_uniform_in_lens(spec: LensSpec, rng: np.random.Generator, size=None):
         raise ValueError(f"size must be non-negative, got {size!r}")
     x_lo, x_hi, y_lo, y_hi = lens_bounding_box(spec)
     accept_rate = area / ((x_hi - x_lo) * (y_hi - y_lo))
+    a2, b2, d0 = spec.a * spec.a, spec.b * spec.b, spec.d0
     out = np.empty((n, 2))
+    t = np.empty(_CHUNK)
+    yy = np.empty(_CHUNK)
     filled = 0
     while filled < n:
         m = max(int((n - filled) / accept_rate * 1.2) + 16, 64)
         px = rng.uniform(x_lo, x_hi, m)
         py = rng.uniform(y_lo, y_hi, m)
-        inside = (px * px + py * py <= spec.a * spec.a) & (
-            (px - spec.d0) ** 2 + py * py <= spec.b * spec.b
-        )
-        hits_x = px[inside]
-        hits_y = py[inside]
-        take = min(len(hits_x), n - filled)
-        out[filled : filled + take, 0] = hits_x[:take]
-        out[filled : filled + take, 1] = hits_y[:take]
-        filled += take
+        # The inside test runs in place on cache-sized slices and stops once
+        # ``n`` points are filled.  The draws do not depend on where it
+        # stops, so the output is that of one test over the whole arrays.
+        for start in range(0, m, _CHUNK):
+            cx = px[start : start + _CHUNK]
+            cy = py[start : start + _CHUNK]
+            t_k, yy_k = t[: len(cx)], yy[: len(cx)]
+            np.multiply(cy, cy, out=yy_k)
+            np.multiply(cx, cx, out=t_k)
+            t_k += yy_k
+            inside = t_k <= a2
+            np.subtract(cx, d0, out=t_k)
+            t_k *= t_k
+            t_k += yy_k
+            inside &= t_k <= b2
+            hits = np.flatnonzero(inside)[: n - filled]
+            take = len(hits)
+            out[filled : filled + take, 0] = cx.take(hits)
+            out[filled : filled + take, 1] = cy.take(hits)
+            filled += take
+            if filled == n:
+                break
     return out[0] if size is None else out
 
 

@@ -198,24 +198,22 @@ def _reduce_block(
 ) -> RunSummary:
     """Summarize one sampled block, computing only the requested ``statistics``.
 
-    Draws from ``rng``, in this order and whatever is requested: the short
-    and the tall bounce coefficients, then one uniform per realization that
-    picks the component for the single-component ToA estimator.  Each active
-    scatterer is one component; a realization's power is the coherent sum
-    over its components, zero when it has none.
+    Only when ``"power"`` is requested, draws the short and then the tall
+    bounce coefficients from ``rng``.  The uniforms that pick each
+    realization's component for the single-component ToA estimator come from
+    a child of ``rng`` (:meth:`numpy.random.Generator.spawn`), so they do not
+    depend on whether coefficients were drawn.  Each active scatterer is one
+    component; a realization's power is the coherent sum over its
+    components, zero when it has none.
     """
     block_len = len(block)
-    sigma = math.sqrt(interaction.coeff_var)
-    r_short = rng.normal(interaction.coeff_mean, sigma, len(block.short_points))
-    r_tall = rng.normal(interaction.coeff_mean, sigma, len(block.tall_points))
-    pick = rng.random(block_len)
-
     d_prime = scenario.d_prime
     n_total = block.n_short + block.n_tall
     tau_open = tau_closed = pooled_tau = power = Moments()
     aod = aoa = np.zeros(0, dtype=np.int64)
 
     if "toa" in statistics:
+        pick = rng.spawn(1)[0].random(block_len)
         nonempty = np.flatnonzero(n_total > 0)
         n_comp = n_total[nonempty]
         idx = np.minimum((pick[nonempty] * n_comp).astype(np.int64), n_comp - 1)
@@ -239,6 +237,9 @@ def _reduce_block(
         if "pooled_toa" in statistics:
             pooled_tau = Moments.of(np.concatenate((xs + ys, xt + yt)))
         if "power" in statistics:
+            sigma = math.sqrt(interaction.coeff_var)
+            r_short = rng.normal(interaction.coeff_mean, sigma, len(block.short_points))
+            r_tall = rng.normal(interaction.coeff_mean, sigma, len(block.tall_points))
             re = np.zeros(block_len)
             im = np.zeros(block_len)
             for x, y, r, counts in (
@@ -300,8 +301,9 @@ def run_experiment(
     per-block RNG substreams and merged in block order, so the result depends
     only on (scenario, seed, n_realizations), never on the worker count.
     ``statistics`` is a subset of :data:`STATISTICS` naming the optional
-    statistics to compute; every block draws the same random numbers whatever
-    it names, so each computed statistic equals that of a full run.
+    statistics to compute; what a block draws for one statistic does not
+    depend on the others named, so each computed statistic equals that of a
+    full run.
     """
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from dvrchan.analytics import _y_max
-from dvrchan.geometry import lens_area_partial, lens_bounding_box
+from dvrchan.geometry import EmptyRegionError, lens_area, lens_area_partial, lens_bounding_box
 
 
 def mc_lens_area(d0, a, b, n, rng):
@@ -97,3 +97,35 @@ def grid_cells(spec, grid, x, y):
     ix = np.clip(((x - x_lo) / (x_hi - x_lo) * grid).astype(int), 0, grid - 1)
     iy = np.clip(((y - y_lo) / (y_hi - y_lo) * grid).astype(int), 0, grid - 1)
     return ix * grid + iy
+
+
+def loop_sample_uniform_in_lens(spec, rng, size=None):
+    """The lens sampler with its inside test over whole candidate arrays.
+
+    The library's sampler must return the same points and leave ``rng`` in
+    the same state.
+    """
+    area = lens_area(spec)
+    if area <= 0.0:
+        raise EmptyRegionError(f"cannot sample from zero-area lens {spec}")
+    n = 1 if size is None else int(size)
+    if n < 0:
+        raise ValueError(f"size must be non-negative, got {size!r}")
+    x_lo, x_hi, y_lo, y_hi = lens_bounding_box(spec)
+    accept_rate = area / ((x_hi - x_lo) * (y_hi - y_lo))
+    out = np.empty((n, 2))
+    filled = 0
+    while filled < n:
+        m = max(int((n - filled) / accept_rate * 1.2) + 16, 64)
+        px = rng.uniform(x_lo, x_hi, m)
+        py = rng.uniform(y_lo, y_hi, m)
+        inside = (px * px + py * py <= spec.a * spec.a) & (
+            (px - spec.d0) ** 2 + py * py <= spec.b * spec.b
+        )
+        hits_x = px[inside]
+        hits_y = py[inside]
+        take = min(len(hits_x), n - filled)
+        out[filled : filled + take, 0] = hits_x[:take]
+        out[filled : filled + take, 1] = hits_y[:take]
+        filled += take
+    return out[0] if size is None else out

@@ -130,6 +130,31 @@ class TestValidateCommand:
         assert "FAIL" not in out
         assert "checks passed" in out
 
+    def test_same_output_for_any_worker_count(self, capsys):
+        outputs = []
+        for workers in ("1", "2"):
+            assert main(["validate", "--realizations", "20000", "--workers", workers]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_scattering_check_skipped_when_lens_holds_link_end(self, capsys):
+        # every preset lens contains the BS and the MS: infinite mean power
+        assert main(["validate", "--realizations", "20000"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        (line,) = [ln for ln in lines if "power-dual-scattering" in ln]
+        assert line.startswith("PASS power-dual-scattering: skipped: infinite mean")
+        (line,) = [ln for ln in lines if "power-dual-reflection" in ln]
+        assert "closed form - simulated" in line
+
+    def test_scattering_check_runs_for_finite_mean(self, tmp_path, capsys):
+        # gate closed and d' beyond both short radii: no contributing lens
+        # contains the BS or the MS
+        cfg = write_config(tmp_path, {"scenario": {"d_prime": 0.6, "gamma": 0.0}})
+        assert main(["validate", "--config", cfg, "--realizations", "20000"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        (line,) = [ln for ln in lines if "power-dual-scattering" in ln]
+        assert line.startswith("PASS power-dual-scattering: |closed form - simulated|")
+
     def test_degenerate_scenario_reports_no_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"scenario": {"d_prime": 0.9, "gamma": 0.0}})
         assert main(["validate", "--config", cfg]) == 0

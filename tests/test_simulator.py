@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 
@@ -7,7 +8,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dvrchan.analytics import InteractionModel, mean_received_power, mean_toa, mpc_pmf
-from dvrchan.pointprocess import RealizationBlock, ScattererClass, Scenario, substream
+from dvrchan.pointprocess import (
+    RealizationBlock,
+    ScattererClass,
+    Scenario,
+    sample_block,
+    substream,
+)
 from dvrchan.simulator import (
     ANGLE_BIN_EDGES,
     N_ANGLE_BINS,
@@ -283,3 +290,16 @@ class TestStatisticSets:
     def test_unknown_statistic_rejected(self):
         with pytest.raises(ValueError, match="unknown statistics"):
             run_experiment(make_scenario(), GTU_REFLECTION, 100, statistics={"tao"})
+
+    @pytest.mark.parametrize("wanted", _ALL_SUBSETS, ids=lambda w: "+".join(sorted(w)) or "none")
+    def test_reducer_draws_coefficients_only_for_power(self, wanted):
+        scenario = make_scenario(gamma=0.5, seed=24)
+        rng = substream(24, 0)
+        block = sample_block(scenario, 500, rng)
+        expected = copy.deepcopy(rng)
+        if "power" in wanted:
+            sigma = math.sqrt(GTU_REFLECTION.coeff_var)
+            for points in (block.short_points, block.tall_points):
+                expected.normal(GTU_REFLECTION.coeff_mean, sigma, len(points))
+        _reduce_block(block, scenario, GTU_REFLECTION, rng, wanted)
+        assert rng.bit_generator.state == expected.bit_generator.state
