@@ -28,7 +28,7 @@ from .analytics import (
     mpc_mean,
     mpc_pmf,
 )
-from .config import ConfigError, RunConfig, load_config
+from .config import MAX_REALIZATIONS, ConfigError, RunConfig, load_config
 from .geometry import LensSpec, distances, lens_area, sample_uniform_in_lens
 from .pointprocess import mean_active_count, sample_realization, substream
 from .simulator import ANGLE_BIN_EDGES, run_experiment
@@ -276,19 +276,17 @@ def cmd_validate(cfg: RunConfig, seed: int, n: int | None, workers: int) -> int:
     return 0 if failed == 0 else 1
 
 
-def _int_at_least(text: str, minimum: int) -> int:
-    value = int(text)
-    if value < minimum:
-        raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text}")
-    return value
+def _int_in(minimum: int, maximum: int | None = None):
+    """Argparse type for an integer ``>= minimum`` (and ``<= maximum``)."""
 
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum or (maximum is not None and value > maximum):
+            most = "" if maximum is None else f" and <= {maximum}"
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}{most}, got {text}")
+        return value
 
-def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1)
-
-
-def _nonnegative_int(text: str) -> int:
-    return _int_at_least(text, 0)
+    return integer
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -307,9 +305,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", default=None, help="JSON config (default: GTU preset)")
         p.add_argument("--out", default=None, help="output CSV path")
-        p.add_argument("--seed", type=_nonnegative_int, default=None, help="override config seed")
-        p.add_argument("--realizations", type=_positive_int, help="override realization count")
-        p.add_argument("--workers", type=_positive_int, default=1, help="parallel worker count")
+        p.add_argument("--seed", type=_int_in(0), default=None, help="override config seed")
+        p.add_argument(
+            "--realizations", type=_int_in(1, MAX_REALIZATIONS), help="override realization count"
+        )
+        p.add_argument("--workers", type=_int_in(1), default=1, help="parallel worker count")
     return parser
 
 

@@ -58,6 +58,10 @@ GTU_PRESET = {
 # counts at which the Poisson sampler fails.
 MAX_MEAN_SCATTERERS = 1e7
 
+# Largest realization count a config or ``--realizations`` may ask for: a
+# thousand times the preset's largest.
+MAX_REALIZATIONS = 10**8
+
 
 def _check_keys(data: dict, schema: dict, path: str = ""):
     for key, value in data.items():
@@ -91,9 +95,11 @@ def _number(data: dict, path: str, key: str, minimum=None, maximum=None, scale=1
     return value * scale
 
 
-def _integer(value, field: str, minimum: int) -> int:
+def _integer(value, field: str, minimum: int, maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigError(field, f"must be an integer >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(field, f"must be <= {maximum}, got {value!r}")
     return value
 
 
@@ -237,7 +243,7 @@ def load_config(path: str | Path | None = None) -> RunConfig:
 
     reals = raw["realizations"]
     realizations = {
-        key: _integer(reals[key], f"realizations.{key}", minimum=1) for key in reals
+        key: _integer(reals[key], f"realizations.{key}", 1, MAX_REALIZATIONS) for key in reals
     }
     seed = _integer(raw["seed"], "seed", minimum=0)
 

@@ -34,8 +34,8 @@ __all__ = [
 # boundaries) are rounded up to zero when within this relative slack.
 _RADICAND_SLACK = 1e-9
 
-# Candidates per slice of the lens sampler's inside test, small enough that
-# the slice and its temporaries stay in cache.
+# Most candidates per round of the lens sampler, small enough that a round's
+# arrays stay in cache.
 _CHUNK = 16384
 
 
@@ -166,6 +166,10 @@ def lens_bounding_box(spec: LensSpec) -> tuple[float, float, float, float]:
 def sample_uniform_in_lens(spec: LensSpec, rng: np.random.Generator, size=None):
     """Draw points uniformly over the lens by rejection from its bounding box.
 
+    Each round draws ``k = min(_CHUNK, remaining / acceptance + 16)``
+    candidates, all ``k`` x values and then all ``k`` y values, keeps those
+    inside the lens in order, and repeats until ``size`` points are filled.
+    Memory per round is bounded by ``_CHUNK`` whatever the acceptance rate.
     Returns a single ``(2,)`` point when ``size`` is None, else an
     ``(size, 2)`` array.
     """
@@ -178,36 +182,34 @@ def sample_uniform_in_lens(spec: LensSpec, rng: np.random.Generator, size=None):
     x_lo, x_hi, y_lo, y_hi = lens_bounding_box(spec)
     accept_rate = area / ((x_hi - x_lo) * (y_hi - y_lo))
     a2, b2, d0 = spec.a * spec.a, spec.b * spec.b, spec.d0
+    low = np.array([[x_lo], [y_lo]])
+    span = np.array([[x_hi - x_lo], [y_hi - y_lo]])
     out = np.empty((n, 2))
-    t = np.empty(_CHUNK)
-    yy = np.empty(_CHUNK)
+    # Buffers reused by every round; ``rng.random(out=u); u *= span; u += low``
+    # gives the bits of ``rng.uniform`` for the k x values, then the k y values.
+    k_max = min(_CHUNK, int(n / accept_rate) + 16)
+    uniforms, work = np.empty((2, 2 * k_max))
     filled = 0
     while filled < n:
-        m = max(int((n - filled) / accept_rate * 1.2) + 16, 64)
-        px = rng.uniform(x_lo, x_hi, m)
-        py = rng.uniform(y_lo, y_hi, m)
-        # The inside test runs in place on cache-sized slices and stops once
-        # ``n`` points are filled.  The draws do not depend on where it
-        # stops, so the output is that of one test over the whole arrays.
-        for start in range(0, m, _CHUNK):
-            cx = px[start : start + _CHUNK]
-            cy = py[start : start + _CHUNK]
-            t_k, yy_k = t[: len(cx)], yy[: len(cx)]
-            np.multiply(cy, cy, out=yy_k)
-            np.multiply(cx, cx, out=t_k)
-            t_k += yy_k
-            inside = t_k <= a2
-            np.subtract(cx, d0, out=t_k)
-            t_k *= t_k
-            t_k += yy_k
-            inside &= t_k <= b2
-            hits = np.flatnonzero(inside)[: n - filled]
-            take = len(hits)
-            out[filled : filled + take, 0] = cx.take(hits)
-            out[filled : filled + take, 1] = cy.take(hits)
-            filled += take
-            if filled == n:
-                break
+        k = min(k_max, int((n - filled) / accept_rate) + 16)
+        cand = uniforms[: 2 * k].reshape(2, k)
+        rng.random(out=cand)
+        cand *= span
+        cand += low
+        cx, cy = cand
+        t, yy = work[: 2 * k].reshape(2, k)
+        np.multiply(cy, cy, out=yy)
+        np.multiply(cx, cx, out=t)
+        t += yy
+        inside = t <= a2
+        np.subtract(cx, d0, out=t)
+        t *= t
+        t += yy
+        inside &= t <= b2
+        hits = np.flatnonzero(inside)[: n - filled]
+        out[filled : filled + len(hits), 0] = cx.take(hits)
+        out[filled : filled + len(hits), 1] = cy.take(hits)
+        filled += len(hits)
     return out[0] if size is None else out
 
 

@@ -217,14 +217,16 @@ def _reduce_block(
         nonempty = np.flatnonzero(n_total > 0)
         n_comp = n_total[nonempty]
         idx = np.minimum((pick[nonempty] * n_comp).astype(np.int64), n_comp - 1)
-        is_short = idx < block.n_short[nonempty]
+        n_short = block.n_short[nonempty]
+        short = np.flatnonzero(idx < n_short)
+        tall = np.flatnonzero(idx >= n_short)
         picked = np.empty((len(nonempty), 2))
-        sel = nonempty[is_short]
-        picked[is_short] = block.short_points[block.short_offsets[sel] + idx[is_short]]
-        sel = nonempty[~is_short]
-        picked[~is_short] = block.tall_points[
-            block.tall_offsets[sel] + idx[~is_short] - block.n_short[sel]
-        ]
+        picked[short] = block.short_points.take(
+            block.short_offsets[nonempty[short]] + idx[short], axis=0
+        )
+        picked[tall] = block.tall_points.take(
+            block.tall_offsets[nonempty[tall]] + idx[tall] - n_short[tall], axis=0
+        )
         x, y = distances(picked, d_prime)
         tau_choice = x + y
         open_mask = block.u[nonempty]
@@ -272,19 +274,6 @@ def _reduce_block(
     )
 
 
-def _process_block(
-    scenario: Scenario,
-    interaction: InteractionModel,
-    block_index: int,
-    block_len: int,
-    seed: int,
-    statistics: frozenset,
-) -> RunSummary:
-    rng = substream(seed, block_index)
-    block = sample_block(scenario, block_len, rng)
-    return _reduce_block(block, scenario, interaction, rng, statistics)
-
-
 def run_experiment(
     scenario: Scenario,
     interaction: InteractionModel,
@@ -312,13 +301,13 @@ def run_experiment(
         raise ValueError(f"unknown statistics {sorted(statistics - STATISTICS)}")
     if seed is None:
         seed = scenario.seed
-    sizes = [
-        min(block_size, n_realizations - start)
-        for start in range(0, n_realizations, block_size)
-    ]
 
-    job = functools.partial(
-        _process_block, scenario, interaction, seed=seed, statistics=statistics
-    )
+    def job(index: int) -> RunSummary:
+        rng = substream(seed, index)
+        block_len = min(block_size, n_realizations - index * block_size)
+        block = sample_block(scenario, block_len, rng)
+        return _reduce_block(block, scenario, interaction, rng, statistics)
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return functools.reduce(RunSummary.merge, pool.map(job, range(len(sizes)), sizes))
+        blocks = range(-(-n_realizations // block_size))
+        return functools.reduce(RunSummary.merge, pool.map(job, blocks))

@@ -99,11 +99,17 @@ def grid_cells(spec, grid, x, y):
     return ix * grid + iy
 
 
-def loop_sample_uniform_in_lens(spec, rng, size=None):
-    """The lens sampler with its inside test over whole candidate arrays.
+# Most candidates per round of the lens sampler (``geometry._CHUNK``), written
+# out here because the round sizes fix every seeded output.
+SAMPLER_ROUND = 16384
 
-    The library's sampler must return the same points and leave ``rng`` in
-    the same state.
+
+def loop_sample_uniform_in_lens(spec, rng, size=None):
+    """The lens sampler written with fresh arrays and whole-array masks.
+
+    Each round draws ``k = min(SAMPLER_ROUND, remaining / acceptance + 16)`` x
+    values, then ``k`` y values, and keeps the hits in order.  The library's
+    sampler must return the same points and leave ``rng`` in the same state.
     """
     area = lens_area(spec)
     if area <= 0.0:
@@ -116,9 +122,9 @@ def loop_sample_uniform_in_lens(spec, rng, size=None):
     out = np.empty((n, 2))
     filled = 0
     while filled < n:
-        m = max(int((n - filled) / accept_rate * 1.2) + 16, 64)
-        px = rng.uniform(x_lo, x_hi, m)
-        py = rng.uniform(y_lo, y_hi, m)
+        k = min(SAMPLER_ROUND, int((n - filled) / accept_rate) + 16)
+        px = rng.uniform(x_lo, x_hi, k)
+        py = rng.uniform(y_lo, y_hi, k)
         inside = (px * px + py * py <= spec.a * spec.a) & (
             (px - spec.d0) ** 2 + py * py <= spec.b * spec.b
         )
@@ -129,3 +135,74 @@ def loop_sample_uniform_in_lens(spec, rng, size=None):
         out[filled : filled + take, 1] = hits_y[:take]
         filled += take
     return out[0] if size is None else out
+
+
+def _ray_interval(center_x, disk_x, radius, theta):
+    """Range of ``r`` along the ray from ``(center_x, 0)`` at angle ``theta``
+    that lies in the disk of ``radius`` about ``(disk_x, 0)``; empty as lo > hi."""
+    along = (disk_x - center_x) * np.cos(theta)
+    across = (disk_x - center_x) * np.sin(theta)
+    half = np.sqrt(np.maximum(radius * radius - across * across, 0.0))
+    lo = np.where(radius >= np.abs(across), along - half, np.inf)
+    return lo, along + half
+
+
+def _ray_breakpoints(spec, center_x):
+    """Angles seen from ``(center_x, 0)`` where the ray's lens chord has a kink:
+    tangents to either circle and the two circle intersection points."""
+    points = []
+    for disk_x, radius in ((0.0, spec.a), (spec.d0, spec.b)):
+        gap = abs(disk_x - center_x)
+        if gap > radius:
+            tangent = math.asin(radius / gap)
+            base = 0.0 if disk_x > center_x else math.pi
+            points += [base + tangent, base - tangent]
+    if spec.d0 > 0.0:
+        x_star = (spec.d0**2 + spec.a**2 - spec.b**2) / (2.0 * spec.d0)
+        y_sq = spec.a**2 - x_star**2
+        if y_sq > 0.0:
+            y_star = math.sqrt(y_sq)
+            points += [math.atan2(sign * y_star, x_star - center_x) for sign in (1.0, -1.0)]
+    return points
+
+
+def lens_angle_bin_areas(spec, center_x, edges, n_nodes=32):
+    """Area of the lens in each angular bin seen from ``(center_x, 0)``.
+
+    Bin ``i`` spans angles ``edges[i]..edges[i+1]`` (``edges`` increasing and
+    spanning 2*pi).  Along each ray the lens holds ``r_lo <= r <= r_hi``, so a
+    bin's area is the integral of ``(r_hi^2 - r_lo^2) / 2`` over its angles,
+    taken by Gauss-Legendre on panels split at every kink of the integrand,
+    with the endpoint-clustering substitution of :func:`_cos_nodes`.
+    """
+    edges = np.asarray(edges, dtype=float)
+    period = edges[-1] - edges[0]
+    kinks = [edges[0] + (p - edges[0]) % period for p in _ray_breakpoints(spec, center_x)]
+    t, w = np.polynomial.legendre.leggauss(n_nodes)
+    areas = np.zeros(len(edges) - 1)
+    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        cuts = sorted({lo, hi, *(k for k in kinks if lo < k < hi)})
+        for p_lo, p_hi in zip(cuts[:-1], cuts[1:]):
+            theta, weights = _cos_nodes(p_lo, p_hi, t, w)
+            lo_a, hi_a = _ray_interval(center_x, 0.0, spec.a, theta)
+            lo_b, hi_b = _ray_interval(center_x, spec.d0, spec.b, theta)
+            r_lo = np.maximum(np.maximum(lo_a, lo_b), 0.0)
+            r_hi = np.minimum(hi_a, hi_b)
+            chord = np.where(r_hi > r_lo, (r_hi * r_hi - r_lo * r_lo) / 2.0, 0.0)
+            areas[i] += float(np.dot(weights, chord))
+    return areas
+
+
+def angle_bin_probabilities(scenario, gamma, from_ms, edges):
+    """Per-bin probability of one active scatterer's departure angle (seen
+    from the BS) or, with ``from_ms``, arrival angle (seen from the MS).
+
+    The short and tall lenses are mixed by their mean active counts,
+    ``mu_s : gamma * mu_t``; each bin's lens area comes from
+    :func:`lens_angle_bin_areas`.
+    """
+    d = scenario.d_prime
+    mix = np.zeros(len(edges) - 1)
+    for cls, weight in ((scenario.short, 1.0), (scenario.tall, gamma)):
+        mix += weight * cls.density * lens_angle_bin_areas(cls.lens(d), d if from_ms else 0.0, edges)
+    return mix / mix.sum()

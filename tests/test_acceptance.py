@@ -18,7 +18,14 @@ from dvrchan.geometry import LensSpec, lens_area, sample_uniform_in_lens
 from dvrchan.pointprocess import ScattererClass, Scenario, substream
 from dvrchan.simulator import ANGLE_BIN_EDGES, run_experiment
 
-from _oracles import double_integral, fd_mixed_partial, grid_cell_probabilities, grid_cells, inner_integral
+from _oracles import (
+    angle_bin_probabilities,
+    double_integral,
+    fd_mixed_partial,
+    grid_cell_probabilities,
+    grid_cells,
+    inner_integral,
+)
 
 
 def report(name, ok, detail):
@@ -219,21 +226,39 @@ def test_acceptance_geometry_invariants():
 
 
 def test_acceptance_angle_profiles(gtu, gtu_scenario):
-    summary = run_experiment(
-        gtu_scenario, gtu.interactions["reflection"], 45_000, seed=gtu.seed
-    )
+    n = 45_000
+    summary = run_experiment(gtu_scenario, gtu.interactions["reflection"], n, seed=gtu.seed)
     n_mpc = int(summary.aod_histogram.sum())
     centers = 0.5 * (ANGLE_BIN_EDGES[:-1] + ANGLE_BIN_EDGES[1:])
     zero_bin = int(np.argmin(np.abs(centers)))
-    aod_peak = int(np.argmax(summary.aod_histogram))
+    profile = angle_bin_probabilities(gtu_scenario, gtu_scenario.gamma, False, ANGLE_BIN_EDGES)
+    oracle_peak = int(np.argmax(profile))
+    # Given the gate states, short and tall counts are Poisson with means
+    # mu_s * n and mu_t * n_open, so given n_mpc the bin counts are
+    # multinomial over the lenses mixed by the realized open fraction.
+    gamma_hat = summary.n_gate_open / n
+    p_values = {}
+    for name, hist, from_ms in (
+        ("departure", summary.aod_histogram, False),
+        ("arrival", summary.aoa_histogram, True),
+    ):
+        probs = angle_bin_probabilities(gtu_scenario, gamma_hat, from_ms, ANGLE_BIN_EDGES)
+        p_values[name] = float(stats.chisquare(hist, n_mpc * probs).pvalue)
     aoa = summary.aoa_histogram.astype(float)
     aoa_ratio = float(aoa.max() / aoa.min()) if aoa.min() > 0 else math.inf
-    ok = n_mpc >= 1_000_000 and aod_peak == zero_bin and aoa_ratio < 1.5
+    ok = (
+        n_mpc >= 1_000_000
+        and oracle_peak == zero_bin
+        and min(p_values.values()) > 0.01
+        and aoa_ratio < 1.5
+    )
     report(
         "angle-profiles",
         ok,
-        f"{n_mpc} components, departure peak bin={aod_peak} (expect {zero_bin}, "
-        f"toward the MS), arrival max/min bin ratio={aoa_ratio:.3f} (<1.5)",
+        f"{n_mpc} components, oracle departure peak bin={oracle_peak} (expect {zero_bin}, "
+        f"toward the MS), chi-square p departure={p_values['departure']:.3f} "
+        f"arrival={p_values['arrival']:.3f} (>0.01, 63 dof), "
+        f"arrival max/min bin ratio={aoa_ratio:.3f} (<1.5)",
     )
 
 

@@ -179,6 +179,8 @@ class TestErrorHandling:
                 "scenario.tall.density_exponent",
             ),
             ({"realizations": {"pmf": 1.5}}, "realizations.pmf"),
+            ({"realizations": {"toa": 10**30}}, "realizations.toa"),
+            ({"realizations": {"pmf": 10**8 + 1}}, "realizations.pmf"),
             (
                 {"scenario": {"short": {"density": 1e300, "density_exponent": 0}}},
                 "scenario.short.density",
@@ -194,6 +196,8 @@ class TestErrorHandling:
             "density-exponent-overflow",
             "density-product-overflow",
             "realizations-not-integer",
+            "realizations-huge",
+            "realizations-above-maximum",
             "density-mean-count-too-large",
         ],
     )
@@ -215,11 +219,13 @@ class TestErrorHandling:
     def test_missing_out(self, capsys):
         assert main(["pmf", "--realizations", "2000"]) == 2
         assert "--out" in capsys.readouterr().err
-        # a realization or worker count below one and a negative seed are
-        # usage errors too, also for validate
+        # a realization count outside 1..10**8, a worker count below one and
+        # a negative seed are usage errors too, also for validate
         bad = (
             ("--realizations", "0"),
             ("--realizations", "-5"),
+            ("--realizations", str(10**8 + 1)),
+            ("--realizations", str(10**30)),
             ("--seed", "-1"),
             ("--workers", "0"),
             ("--workers", "-3"),
@@ -262,6 +268,10 @@ class TestConfigLoading:
         )
         assert cfg.d_prime == 200.0
         assert cfg.toa_d_prime == (200.0,)
+
+    def test_realization_maximum_loads(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, {"realizations": {"toa": 10**8}}))
+        assert cfg.realizations["toa"] == 10**8
 
     def test_hash_stable_and_sensitive(self, tmp_path):
         base = load_config()

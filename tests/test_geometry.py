@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from _oracles import (
     fd_mixed_partial,
     grid_cell_probabilities,
     grid_cells,
+    lens_angle_bin_areas,
     loop_sample_uniform_in_lens,
     mc_lens_area,
 )
@@ -197,15 +199,49 @@ class TestSampling:
     )
     def test_matches_whole_array_loop(self, spec, size):
         x_lo, x_hi, y_lo, y_hi = lens_bounding_box(spec)
-        # candidates per point scale as 1/acceptance; keep the arrays small
+        # candidates per point scale as 1/acceptance; keep the runs short
         assert lens_area(spec) / ((x_hi - x_lo) * (y_hi - y_lo)) >= 0.01
-        # at the small sizes, seeds 311, 471, ... 998 of these find no
-        # point in the thin lens's first 64 candidates and draw again
+        # at the small sizes, 126 of these seeds (10, 14, 15, ...) find no
+        # point in the thin lens's first 31 candidates and draw again
         for seed in range(1000 if size is None or size <= 1 else 1):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             got = sample_uniform_in_lens(spec, rng, size=size)
             assert np.array_equal(got, loop_sample_uniform_in_lens(spec, ref, size=size))
             assert rng.random() == ref.random()
+
+    def test_memory_bounded_per_round(self):
+        # acceptance ~9.4e-4: 1000 points take ~1.1e6 candidates, 17 MB if
+        # drawn at once; a round holds at most 16384 x and y values
+        spec = LensSpec(2.0 - 2e-6, 1.0, 1.0)
+        x_lo, x_hi, y_lo, y_hi = lens_bounding_box(spec)
+        assert lens_area(spec) / ((x_hi - x_lo) * (y_hi - y_lo)) < 1e-3
+        tracemalloc.start()
+        try:
+            pts = sample_uniform_in_lens(spec, np.random.default_rng(9), size=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pts.shape == (1000, 2)
+        assert peak < 2_000_000
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        LensSpec(200.0, 500.0, 300.0),
+        LensSpec(200.0, 4100.0, 4000.0),
+        LensSpec(600.0, 500.0, 300.0),
+        LensSpec(1.99, 1.0, 1.0),
+        LensSpec(0.0, 2.0, 1.0),
+    ],
+    ids=["contained", "tall", "partial", "thin", "concentric"],
+)
+def test_angle_bin_areas_sum_to_lens_area(spec):
+    edges = -math.pi + math.pi / 64 + np.arange(65) * math.pi / 32
+    for center_x in (0.0, spec.d0 / 2, spec.d0):
+        areas = lens_angle_bin_areas(spec, center_x, edges)
+        assert np.all(areas >= 0.0)
+        assert areas.sum() == pytest.approx(lens_area(spec), rel=1e-12)
 
 
 def test_bounding_box_encloses_lens():
