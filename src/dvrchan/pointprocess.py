@@ -24,6 +24,7 @@ __all__ = [
     "mean_active_count",
     "sample_realization",
     "sample_block",
+    "sample_gated",
 ]
 
 KINDS = ("short", "tall")
@@ -102,7 +103,9 @@ class RealizationBlock:
 
     Per-realization counts index into the flat position arrays; realization
     ``j`` owns rows ``offsets[j] : offsets[j] + counts[j]`` of its class
-    array.
+    array.  ``gate`` holds the uniforms behind the gate states
+    (``u = gate < gamma``) and ``tall_counts`` the tall counts before the gate
+    zeroes them.
     """
 
     u: np.ndarray
@@ -110,6 +113,8 @@ class RealizationBlock:
     n_tall: np.ndarray
     short_points: np.ndarray
     tall_points: np.ndarray
+    gate: np.ndarray
+    tall_counts: np.ndarray
     short_offsets: np.ndarray = field(init=False)
     tall_offsets: np.ndarray = field(init=False)
 
@@ -149,19 +154,37 @@ def _sample_class_points(scenario, cls, count, rng):
 def sample_block(scenario: Scenario, n: int, rng: np.random.Generator) -> RealizationBlock:
     """Sample ``n`` independent realizations in one vectorized pass.
 
-    Draw order is fixed (short counts, gate, tall counts, short positions,
-    tall positions) so a given generator state always yields the same block.
+    Draw order is fixed (short counts, gate uniforms, tall counts, short
+    positions, tall positions) so a given generator state always yields the
+    same block.  Every draw before the tall positions, and so the generator
+    state after them, is the same for every ``gamma``; :func:`sample_gated`
+    draws the rest.
     """
     mu_s = mean_active_count(scenario, "short")
     mu_t = mean_active_count(scenario, "tall")
     n_short = rng.poisson(mu_s, n)
-    u = rng.random(n) < scenario.gamma
-    # Tall counts are drawn unconditionally to keep the stream layout fixed,
-    # then zeroed where the gate is closed.
-    n_tall = np.where(u, rng.poisson(mu_t, n), 0)
+    gate = rng.random(n)
+    # Tall counts are drawn for every realization, whatever its gate, so that
+    # no draw before the tall positions depends on gamma: the simulator's
+    # ToA memo reuses those draws across gamma and relies on this layout.
+    tall_counts = rng.poisson(mu_t, n)
     short_points = _sample_class_points(scenario, scenario.short, int(n_short.sum()), rng)
+    u, n_tall, tall_points = sample_gated(scenario, gate, tall_counts, rng)
+    return RealizationBlock(u, n_short, n_tall, short_points, tall_points, gate, tall_counts)
+
+
+def sample_gated(
+    scenario: Scenario, gate: np.ndarray, tall_counts: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gate and tall stage of :func:`sample_block`.
+
+    Returns the gate states, the tall counts zeroed where the gate is closed,
+    and the tall positions drawn from ``rng``.
+    """
+    u = gate < scenario.gamma
+    n_tall = np.where(u, tall_counts, 0)
     tall_points = _sample_class_points(scenario, scenario.tall, int(n_tall.sum()), rng)
-    return RealizationBlock(u, n_short, n_tall, short_points, tall_points)
+    return u, n_tall, tall_points
 
 
 def sample_realization(scenario: Scenario, rng: np.random.Generator) -> Realization:

@@ -9,8 +9,10 @@ result.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
+import threading
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -19,7 +21,14 @@ import numpy as np
 
 from .analytics import SPEED_OF_LIGHT, InteractionModel
 from .geometry import distances
-from .pointprocess import RealizationBlock, Scenario, sample_block, substream
+from .pointprocess import (
+    RealizationBlock,
+    Scenario,
+    mean_active_count,
+    sample_block,
+    sample_gated,
+    substream,
+)
 
 __all__ = [
     "N_ANGLE_BINS",
@@ -36,7 +45,10 @@ N_ANGLE_BINS = 64
 _BIN_WIDTH = 2.0 * math.pi / N_ANGLE_BINS
 ANGLE_BIN_EDGES = -math.pi + _BIN_WIDTH / 2.0 + np.arange(N_ANGLE_BINS + 1) * _BIN_WIDTH
 
+# A block holds at most _BLOCK_SIZE realizations and, on average, at most
+# _BLOCK_POINTS scatterers, so its memory is bounded whatever the densities.
 _BLOCK_SIZE = 8192
+_BLOCK_POINTS = 1 << 21
 
 # Optional statistics a run can compute.  The count histogram and the gate
 # count are always computed.
@@ -103,12 +115,12 @@ class RunSummary:
     statistics: frozenset
     n_gate_open: int
     mpc_count_histogram: np.ndarray
-    tau_open: Moments
-    tau_closed: Moments
-    pooled_tau: Moments
-    power: Moments
-    aod_histogram: np.ndarray
-    aoa_histogram: np.ndarray
+    tau_open: Moments = Moments()
+    tau_closed: Moments = Moments()
+    pooled_tau: Moments = Moments()
+    power: Moments = Moments()
+    aod_histogram: np.ndarray = dataclasses.field(default_factory=lambda: np.zeros(0, np.int64))
+    aoa_histogram: np.ndarray = dataclasses.field(default_factory=lambda: np.zeros(0, np.int64))
 
     def merge(self, other: "RunSummary") -> "RunSummary":
         if (self.gamma, self.mode) != (other.gamma, other.mode):
@@ -189,6 +201,48 @@ def _histogram_angles(angles: np.ndarray) -> np.ndarray:
     return counts.astype(np.int64)
 
 
+def _picked_path_lengths(
+    block: RealizationBlock, n_tall: np.ndarray, pick: np.ndarray, d_prime: float
+) -> np.ndarray:
+    """Path length of the component each realization picks for the ToA estimator.
+
+    Realization ``j`` has ``block.n_short[j] + n_tall[j]`` components and
+    picks the one at index ``floor(pick[j] * count)``, short ones first.
+    Reads NaN where it has none, and ``-1 - k`` where it picks its ``k``-th
+    tall scatterer: :func:`_toa_moments` fills those in from the tall
+    positions, so they need not be drawn yet.
+    """
+    n_total = block.n_short + n_tall
+    tau = np.full(len(pick), math.nan)
+    nonempty = np.flatnonzero(n_total > 0)
+    n_comp = n_total[nonempty]
+    idx = np.minimum((pick[nonempty] * n_comp).astype(np.int64), n_comp - 1)
+    n_short = block.n_short[nonempty]
+    short = np.flatnonzero(idx < n_short)
+    rows = block.short_offsets[nonempty[short]] + idx[short]
+    x, y = distances(block.short_points.take(rows, axis=0), d_prime)
+    tau[nonempty[short]] = x + y
+    tall = np.flatnonzero(idx >= n_short)
+    tau[nonempty[tall]] = n_short[tall] - idx[tall] - 1
+    return tau
+
+
+def _toa_moments(
+    tau: np.ndarray, u: np.ndarray, n_tall: np.ndarray, tall_points: np.ndarray, d_prime: float
+) -> tuple[Moments, Moments]:
+    """Gate-open and gate-closed moments of the picked path lengths ``tau``.
+
+    Fills the tall picks of :func:`_picked_path_lengths` in place from
+    ``tall_points``, laid out by ``n_tall``.
+    """
+    tall = np.flatnonzero(tau < 0.0)
+    rows = (np.cumsum(n_tall) - n_tall)[tall] + (-1.0 - tau[tall]).astype(np.int64)
+    x, y = distances(tall_points.take(rows, axis=0), d_prime)
+    tau[tall] = x + y
+    defined = ~np.isnan(tau)
+    return Moments.of(tau[defined & u]), Moments.of(tau[defined & ~u])
+
+
 def _reduce_block(
     block: RealizationBlock,
     scenario: Scenario,
@@ -208,36 +262,20 @@ def _reduce_block(
     """
     block_len = len(block)
     d_prime = scenario.d_prime
-    n_total = block.n_short + block.n_tall
-    tau_open = tau_closed = pooled_tau = power = Moments()
-    aod = aoa = np.zeros(0, dtype=np.int64)
+    computed = {}
 
     if "toa" in statistics:
         pick = rng.spawn(1)[0].random(block_len)
-        nonempty = np.flatnonzero(n_total > 0)
-        n_comp = n_total[nonempty]
-        idx = np.minimum((pick[nonempty] * n_comp).astype(np.int64), n_comp - 1)
-        n_short = block.n_short[nonempty]
-        short = np.flatnonzero(idx < n_short)
-        tall = np.flatnonzero(idx >= n_short)
-        picked = np.empty((len(nonempty), 2))
-        picked[short] = block.short_points.take(
-            block.short_offsets[nonempty[short]] + idx[short], axis=0
+        tau = _picked_path_lengths(block, block.n_tall, pick, d_prime)
+        computed["tau_open"], computed["tau_closed"] = _toa_moments(
+            tau, block.u, block.n_tall, block.tall_points, d_prime
         )
-        picked[tall] = block.tall_points.take(
-            block.tall_offsets[nonempty[tall]] + idx[tall] - n_short[tall], axis=0
-        )
-        x, y = distances(picked, d_prime)
-        tau_choice = x + y
-        open_mask = block.u[nonempty]
-        tau_open = Moments.of(tau_choice[open_mask])
-        tau_closed = Moments.of(tau_choice[~open_mask])
 
     if "pooled_toa" in statistics or "power" in statistics:
         xs, ys = distances(block.short_points, d_prime)
         xt, yt = distances(block.tall_points, d_prime)
         if "pooled_toa" in statistics:
-            pooled_tau = Moments.of(np.concatenate((xs + ys, xt + yt)))
+            computed["pooled_tau"] = Moments.of(np.concatenate((xs + ys, xt + yt)))
         if "power" in statistics:
             sigma = math.sqrt(interaction.coeff_var)
             r_short = rng.normal(interaction.coeff_mean, sigma, len(block.short_points))
@@ -252,26 +290,137 @@ def _reduce_block(
                 c, s = interaction.phasor(x, y, r)
                 re += np.bincount(seg, weights=c, minlength=block_len)
                 im += np.bincount(seg, weights=s, minlength=block_len)
-            power = Moments.of(interaction.k0 * (re * re + im * im))
+            computed["power"] = Moments.of(interaction.k0 * (re * re + im * im))
 
     if "angles" in statistics:
         points = np.concatenate((block.short_points, block.tall_points))
-        aod = _histogram_angles(np.arctan2(points[:, 1], points[:, 0]))
-        aoa = _histogram_angles(np.arctan2(points[:, 1], points[:, 0] - d_prime))
+        computed["aod_histogram"] = _histogram_angles(np.arctan2(points[:, 1], points[:, 0]))
+        computed["aoa_histogram"] = _histogram_angles(
+            np.arctan2(points[:, 1], points[:, 0] - d_prime)
+        )
 
     return RunSummary(
         scenario.gamma,
         interaction.mode,
         statistics,
-        n_gate_open=int(block.u.sum()),
-        mpc_count_histogram=np.bincount(n_total),
-        tau_open=tau_open,
-        tau_closed=tau_closed,
-        pooled_tau=pooled_tau,
-        power=power,
-        aod_histogram=aod,
-        aoa_histogram=aoa,
+        int(block.u.sum()),
+        np.bincount(block.n_short + block.n_tall),
+        **computed,
     )
+
+
+# Per realization: the gate uniform, the path lengths picked with the gate
+# closed and open (see _picked_path_lengths), the short and the tall count
+# (int32: a config's mean count per class is at most 1e7).
+_MEMO_ROW = np.dtype(
+    [("gate", "f8"), ("closed", "f8"), ("open", "f8"), ("n_short", "i4"), ("n_tall", "i4")]
+)
+# Per block: its length (0 while it holds no record) and the generator's
+# PCG64 state after the short positions, as (state high, state low,
+# has_uint32, uinteger) words.
+_MEMO_BLOCK = np.dtype([("length", "i8"), ("state", "u8", 4)])
+# Most bytes the ToA memo keeps, whatever the run's size: 15 blocks of 8192
+# realizations, more than a preset toa-sweep run's 13.  Blocks past it run
+# without the memo.
+_MEMO_BYTES = 1 << 22
+_WORD = (1 << 64) - 1
+
+
+class _ToaMemo:
+    """The gamma-free stage of each block of the last ToA-only run.
+
+    ``gamma`` only gates the tall class, and every draw of a block before its
+    tall positions is free of it (see :func:`~dvrchan.pointprocess.sample_block`).
+    A ToA-only run at another ``gamma`` with the same key -- the scenario with
+    ``gamma`` and ``seed`` set to 0, plus the seed and the block size -- reads
+    each block's record here, restores the generator state and draws only the
+    tall positions.  A block's record is used only for the block index and
+    length it was made for.  Its summary is bit for bit the one
+    :func:`_reduce_block` gives.
+
+    The records live in one buffer, allocated when the run shape (block size
+    and memoised block count) changes and otherwise overwritten in place; it
+    holds at most ``_MEMO_BYTES``.  A run holds :attr:`lock` while it uses the
+    memo; a run that finds it held runs without the memo.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.key = None
+        self.shape = (0, 0)
+        self.rows = np.empty(0, _MEMO_ROW)
+        self.blocks = np.empty(0, _MEMO_BLOCK)
+
+    @property
+    def nbytes(self) -> int:
+        return self.rows.nbytes + self.blocks.nbytes
+
+    def claim(self, scenario: Scenario, seed: int, block_size: int, n_blocks: int) -> int:
+        """Set up the memo for a run; returns how many of its blocks it memoises."""
+        per_block = block_size * _MEMO_ROW.itemsize + _MEMO_BLOCK.itemsize
+        shape = (block_size, min(n_blocks, _MEMO_BYTES // per_block))
+        key = (dataclasses.replace(scenario, gamma=0.0, seed=0), seed, block_size)
+        if shape != self.shape:
+            self.shape = shape
+            self.rows = np.empty(shape[0] * shape[1], _MEMO_ROW)
+            self.blocks = np.zeros(shape[1], _MEMO_BLOCK)
+        elif key != self.key:
+            self.blocks["length"] = 0
+        self.key = key
+        return shape[1]
+
+    def reduce(
+        self,
+        index: int,
+        block_len: int,
+        scenario: Scenario,
+        interaction: InteractionModel,
+        rng: np.random.Generator,
+    ) -> RunSummary:
+        """ToA-only summary of block ``index``, sampled from the fresh ``rng``."""
+        start = index * self.shape[0]
+        rows = self.rows[start : start + block_len]
+        record = self.blocks[index : index + 1]
+        if record["length"][0] == block_len:
+            state = rng.bit_generator.state
+            high, low, state["has_uint32"], state["uinteger"] = map(int, record["state"][0])
+            state["state"]["state"] = high << 64 | low
+            rng.bit_generator.state = state
+        else:
+            record["length"] = 0
+            # At gamma 0 no gate opens, so sample_block draws the gamma-free
+            # stage and nothing more.
+            free = sample_block(self.key[0], block_len, rng)
+            pick = rng.spawn(1)[0].random(block_len)
+            rows["gate"] = free.gate
+            rows["n_short"] = free.n_short
+            rows["n_tall"] = free.tall_counts
+            rows["closed"] = _picked_path_lengths(free, free.n_tall, pick, scenario.d_prime)
+            rows["open"] = _picked_path_lengths(free, free.tall_counts, pick, scenario.d_prime)
+            state = rng.bit_generator.state
+            value = state["state"]["state"]
+            record["state"] = (value >> 64, value & _WORD, state["has_uint32"], state["uinteger"])
+            record["length"] = block_len
+        u, n_tall, tall_points = sample_gated(scenario, rows["gate"], rows["n_tall"], rng)
+        tau = np.where(u, rows["open"], rows["closed"])
+        tau_open, tau_closed = _toa_moments(tau, u, n_tall, tall_points, scenario.d_prime)
+        return RunSummary(
+            scenario.gamma,
+            interaction.mode,
+            frozenset({"toa"}),
+            int(u.sum()),
+            np.bincount(rows["n_short"] + n_tall),
+            tau_open=tau_open,
+            tau_closed=tau_closed,
+        )
+
+
+_MEMO = _ToaMemo()
+
+
+def _block_length(scenario: Scenario) -> int:
+    mu = mean_active_count(scenario, "short") + mean_active_count(scenario, "tall")
+    return max(1, min(_BLOCK_SIZE, _BLOCK_POINTS // max(1, math.ceil(mu))))
 
 
 def run_experiment(
@@ -280,7 +429,7 @@ def run_experiment(
     n_realizations: int,
     seed: int | None = None,
     workers: int = 1,
-    block_size: int = _BLOCK_SIZE,
+    block_size: int | None = None,
     *,
     statistics: Iterable[str] = STATISTICS,
 ) -> RunSummary:
@@ -289,10 +438,14 @@ def run_experiment(
     Realizations are partitioned into fixed-size blocks with deterministic
     per-block RNG substreams and merged in block order, so the result depends
     only on (scenario, seed, n_realizations), never on the worker count.
-    ``statistics`` is a subset of :data:`STATISTICS` naming the optional
-    statistics to compute; what a block draws for one statistic does not
-    depend on the others named, so each computed statistic equals that of a
-    full run.
+    ``block_size`` defaults to ``min(8192, 2**21 // ceil(mean scatterers per
+    realization))``, at least 1, which depends on the scenario alone and
+    bounds a block's memory.  ``statistics`` is a subset of :data:`STATISTICS` naming
+    the optional statistics to compute; what a block draws for one statistic
+    does not depend on the others named, so each computed statistic equals
+    that of a full run.  A run computing ``{"toa"}`` alone reuses each
+    block's gamma-free draws from an earlier such run at another ``gamma``
+    (see :class:`_ToaMemo`), with the same result.
     """
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
@@ -301,13 +454,23 @@ def run_experiment(
         raise ValueError(f"unknown statistics {sorted(statistics - STATISTICS)}")
     if seed is None:
         seed = scenario.seed
+    if block_size is None:
+        block_size = _block_length(scenario)
+    n_blocks = -(-n_realizations // block_size)
+    memo = _MEMO if statistics == {"toa"} and _MEMO.lock.acquire(blocking=False) else None
+    try:
+        n_memo = 0 if memo is None else memo.claim(scenario, seed, block_size, n_blocks)
 
-    def job(index: int) -> RunSummary:
-        rng = substream(seed, index)
-        block_len = min(block_size, n_realizations - index * block_size)
-        block = sample_block(scenario, block_len, rng)
-        return _reduce_block(block, scenario, interaction, rng, statistics)
+        def job(index: int) -> RunSummary:
+            rng = substream(seed, index)
+            block_len = min(block_size, n_realizations - index * block_size)
+            if index < n_memo:
+                return memo.reduce(index, block_len, scenario, interaction, rng)
+            block = sample_block(scenario, block_len, rng)
+            return _reduce_block(block, scenario, interaction, rng, statistics)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        blocks = range(-(-n_realizations // block_size))
-        return functools.reduce(RunSummary.merge, pool.map(job, blocks))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return functools.reduce(RunSummary.merge, pool.map(job, range(n_blocks)))
+    finally:
+        if memo is not None:
+            memo.lock.release()

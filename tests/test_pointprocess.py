@@ -160,3 +160,41 @@ def test_substream_independent_of_call_order():
     _ = substream(42, 2).random(4)
     b = substream(42, 3).random(4)
     assert np.array_equal(a, b)
+
+
+class TestGammaFreeStage:
+    """Every draw of a block before its tall positions is free of ``gamma``.
+
+    The simulator's ToA memo reuses these draws, and the generator state
+    after them, across ``gamma``.
+    """
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("d_prime", [100.0, 400.0, 900.0])
+    def test_same_for_every_gamma(self, gtu, monkeypatch, d_prime, seed):
+        import dvrchan.pointprocess as pp
+
+        gated = pp.sample_gated
+        states = []
+
+        def spy(scenario, gate, tall_counts, rng):
+            states.append(rng.bit_generator.state)
+            return gated(scenario, gate, tall_counts, rng)
+
+        monkeypatch.setattr(pp, "sample_gated", spy)
+        draws = []
+        for gamma in (0.0, 0.22, 0.5, 1.0):
+            rng = substream(seed, 0)
+            block = sample_block(gtu.scenario(d_prime=d_prime, gamma=gamma), 2000, rng)
+            if gamma == 0.0:
+                # no gate opens: the generator stops right after the short positions
+                assert rng.bit_generator.state == states[0]
+            child = rng.spawn(1)[0].random(2000)
+            draws.append((block.n_short, block.gate, block.tall_counts, block.short_points, child))
+            assert np.array_equal(block.u, block.gate < gamma)
+            assert np.array_equal(block.n_tall, np.where(block.u, block.tall_counts, 0))
+        assert draws[0][0].sum() > 0 or d_prime > 800.0
+        for other, state in zip(draws[1:], states[1:]):
+            assert state == states[0]
+            for a, b in zip(draws[0], other):
+                assert np.array_equal(a, b)

@@ -1,17 +1,23 @@
 import copy
+import dataclasses
 import itertools
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from dvrchan import simulator
 from dvrchan.analytics import InteractionModel, mean_received_power, mean_toa, mpc_pmf
 from dvrchan.pointprocess import (
     RealizationBlock,
     ScattererClass,
     Scenario,
+    mean_active_count,
     sample_block,
     substream,
 )
@@ -46,7 +52,13 @@ def reduce_one(short_points, interaction=GTU_REFLECTION, seed=0):
     """Reduce a hand-built block of one gate-closed realization."""
     points = np.asarray(short_points, dtype=float).reshape(-1, 2)
     block = RealizationBlock(
-        np.array([False]), np.array([len(points)]), np.array([0]), points, np.empty((0, 2))
+        np.array([False]),
+        np.array([len(points)]),
+        np.array([0]),
+        points,
+        np.empty((0, 2)),
+        gate=np.array([1.0]),
+        tall_counts=np.array([0]),
     )
     return _reduce_block(block, make_scenario(), interaction, substream(seed, 0))
 
@@ -171,8 +183,6 @@ class TestRunExperiment:
         # single-component estimator; its limit has class weights
         # mu_s : gamma * mu_t
         from dvrchan.analytics import mean_distance_bs, mean_distance_ms
-        from dvrchan.pointprocess import mean_active_count
-
         scenario = make_scenario(seed=13)
         summary = run_experiment(scenario, GTU_REFLECTION, 30_000)
         mu_s = mean_active_count(scenario, "short")
@@ -250,11 +260,18 @@ class TestStatisticSets:
     """Every statistic subset draws the same random numbers as a full run."""
 
     @pytest.mark.parametrize("seed", [21, 22])
-    def test_requested_fields_match_full_run(self, seed):
+    def test_requested_fields_match_full_run(self, seed, monkeypatch):
         scenario = make_scenario(seed=seed)
         full = run_experiment(scenario, GTU_REFLECTION, 3_000, block_size=1_000)
         assert full.statistics == STATISTICS
-        for workers, wanted in itertools.product((1, 3), _ALL_SUBSETS):
+        for workers, wanted, warm in itertools.product((1, 3), _ALL_SUBSETS, (False, True)):
+            # the ToA memo starts empty and, when warm, holds a run at another gamma
+            monkeypatch.setattr(simulator, "_MEMO", simulator._ToaMemo())
+            if warm:
+                run_experiment(
+                    dataclasses.replace(scenario, gamma=0.7), GTU_REFLECTION, 3_000,
+                    workers=workers, block_size=1_000, statistics=wanted,
+                )
             part = run_experiment(
                 scenario, GTU_REFLECTION, 3_000, workers=workers, block_size=1_000,
                 statistics=wanted,
@@ -303,3 +320,151 @@ class TestStatisticSets:
                 expected.normal(GTU_REFLECTION.coeff_mean, sigma, len(points))
         _reduce_block(block, scenario, GTU_REFLECTION, rng, wanted)
         assert rng.bit_generator.state == expected.bit_generator.state
+
+
+def _toa_fields(summary):
+    hist = tuple(summary.mpc_count_histogram)
+    return summary.n_gate_open, hist, summary.tau_open, summary.tau_closed
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """A fresh, empty ToA memo for the test."""
+    fresh = simulator._ToaMemo()
+    monkeypatch.setattr(simulator, "_MEMO", fresh)
+    return fresh
+
+
+def _reference(scenario, n, **kwargs):
+    """ToA fields of a run of every statistic, which never reads the memo."""
+    return _toa_fields(run_experiment(scenario, GTU_REFLECTION, n, **kwargs))
+
+
+class TestToaMemo:
+    """ToA-only runs reuse each block's gamma-free draws with the same result."""
+
+    GAMMAS = (0.0, 0.22, 0.5, 1.0)
+
+    def _toa(self, scenario, n=3_000, **kwargs):
+        kwargs.setdefault("block_size", 1_000)
+        return _toa_fields(
+            run_experiment(scenario, GTU_REFLECTION, n, statistics={"toa"}, **kwargs)
+        )
+
+    def test_warm_run_draws_only_tall_positions(self, memo, monkeypatch):
+        scenario = make_scenario(seed=30)
+        expected = _reference(scenario, 3_000, block_size=1_000)
+        self._toa(dataclasses.replace(scenario, gamma=0.0))
+        assert np.array_equal(memo.blocks["length"], [1_000] * 3)
+        calls = []
+        sample = simulator.sample_block
+        monkeypatch.setattr(
+            simulator, "sample_block", lambda *args: calls.append(args) or sample(*args)
+        )
+        assert self._toa(scenario) == expected
+        assert calls == []
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_sweep_order_and_workers(self, memo, workers):
+        base = make_scenario(seed=31)
+        for d_prime in (100.0, 400.0, 700.0):
+            scenarios = {g: dataclasses.replace(base, d_prime=d_prime, gamma=g) for g in self.GAMMAS}
+            expected = {g: _reference(s, 3_000, block_size=1_000) for g, s in scenarios.items()}
+            for order in (self.GAMMAS, self.GAMMAS[::-1]):
+                for gamma in order:
+                    assert self._toa(scenarios[gamma], workers=workers) == expected[gamma]
+
+    @pytest.mark.parametrize(
+        "fields, n, block_size",
+        [
+            ({"d_prime": 250.0}, 3_000, 1_000),
+            ({"short": ScattererClass("short", 500.0, 300.0, 5e-5)}, 3_000, 1_000),
+            ({"tall": ScattererClass("tall", 4100.0, 4000.0, 3e-7)}, 3_000, 1_000),
+            ({"seed": 33}, 3_000, 1_000),
+            ({}, 2_500, 1_000),
+            ({}, 3_000, 500),
+        ],
+        ids=["d_prime", "short", "tall", "seed", "n", "block_size"],
+    )
+    def test_key_tells_runs_apart(self, memo, fields, n, block_size):
+        base = make_scenario(seed=32)
+        self._toa(base)
+        other = dataclasses.replace(base, gamma=0.5, **fields)
+        expected = _reference(other, n, block_size=block_size)
+        assert self._toa(other, n, block_size=block_size) == expected
+
+    def test_concurrent_runs(self, memo):
+        # More threads than cores, each sweeping gamma at its own d', with a
+        # short switch interval: a run that finds the memo held runs without it.
+        base = make_scenario(seed=34)
+        d_primes = (100.0, 300.0, 500.0, 700.0)
+        expected = {
+            (d, g): _reference(dataclasses.replace(base, d_prime=d, gamma=g), 3_000, block_size=500)
+            for d in d_primes
+            for g in self.GAMMAS
+        }
+        got = {}
+
+        def sweep(d_prime):
+            for gamma in self.GAMMAS:
+                scenario = dataclasses.replace(base, d_prime=d_prime, gamma=gamma)
+                got[d_prime, gamma] = self._toa(scenario, block_size=500, workers=2)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=sweep, args=(d,)) for d in d_primes]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+        assert not memo.lock.locked()
+
+    def test_memory_capped(self, memo):
+        # The preset's toa-sweep runs (1e5 realizations, 13 blocks) fit the memo.
+        per_block = 8192 * simulator._MEMO_ROW.itemsize + simulator._MEMO_BLOCK.itemsize
+        assert simulator._MEMO_BYTES // per_block >= 13
+        # a run of four times the memo's capacity: blocks past it run without it
+        scenario = Scenario(
+            d_prime=200.0,
+            short=ScattererClass("short", 500.0, 300.0, 1e-5),
+            tall=ScattererClass("tall", 4100.0, 4000.0, 4e-8),
+            gamma=0.5,
+            seed=35,
+        )
+        n = 4 * simulator._MEMO_BYTES // simulator._MEMO_ROW.itemsize
+        self._toa(dataclasses.replace(scenario, gamma=0.22), n, block_size=8192)
+        assert 0 < memo.nbytes <= simulator._MEMO_BYTES
+        assert memo.shape == (8192, simulator._MEMO_BYTES // per_block)
+        with memo.lock:
+            unmemoised = self._toa(scenario, n, block_size=8192)
+        assert self._toa(scenario, n, block_size=8192) == unmemoised
+        assert memo.nbytes <= simulator._MEMO_BYTES
+
+
+def test_block_memory_bounded(gtu):
+    # The short class of perfbench's thin-lens config (0.42 per m^2) at
+    # d' = 0.1 km holds ~1.2e5 scatterers per realization; 8192 of them in one
+    # block would need ~15 GiB of positions.  A block of the derived length
+    # holds ~2**21 points, 32 MiB of positions.
+    scenario = dataclasses.replace(
+        gtu.scenario(d_prime=100.0),
+        short=dataclasses.replace(gtu.short, density=0.42),
+    )
+    mu = mean_active_count(scenario, "short") + mean_active_count(scenario, "tall")
+    assert simulator._block_length(scenario) * mu <= simulator._BLOCK_POINTS
+    assert simulator._block_length(gtu.scenario()) == simulator._BLOCK_SIZE
+    densest = dataclasses.replace(gtu.short, density=1e7 / (math.pi * gtu.short.v2**2))
+    assert simulator._block_length(dataclasses.replace(scenario, short=densest)) == 1
+    tracemalloc.start()
+    try:
+        summary = run_experiment(scenario, GTU_REFLECTION, 64, statistics={"toa"})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary.mpc_count_histogram.sum() == 64
+    assert peak < 2 * simulator._BLOCK_POINTS * 16
