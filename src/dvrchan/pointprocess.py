@@ -166,7 +166,7 @@ def sample_block(scenario: Scenario, n: int, rng: np.random.Generator) -> Realiz
     gate = rng.random(n)
     # Tall counts are drawn for every realization, whatever its gate, so that
     # no draw before the tall positions depends on gamma: the simulator's
-    # ToA memo reuses those draws across gamma and relies on this layout.
+    # gamma-free cache reuses those draws across gamma and relies on this layout.
     tall_counts = rng.poisson(mu_t, n)
     short_points = _sample_class_points(scenario, scenario.short, int(n_short.sum()), rng)
     u, n_tall, tall_points = sample_gated(scenario, gate, tall_counts, rng)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import threading
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -309,113 +308,68 @@ def _reduce_block(
     )
 
 
+# The gamma-free stage of a ToA-only run is cached for this many blocks: 16
+# of 8192 realizations at 32 bytes each (~4 MiB), more than a preset
+# toa-sweep run's 13.  Later blocks are sampled whole.
+_GAMMA_FREE_BLOCKS = 16
 # Per realization: the gate uniform, the path lengths picked with the gate
 # closed and open (see _picked_path_lengths), the short and the tall count
 # (int32: a config's mean count per class is at most 1e7).
-_MEMO_ROW = np.dtype(
+_GAMMA_FREE_ROW = np.dtype(
     [("gate", "f8"), ("closed", "f8"), ("open", "f8"), ("n_short", "i4"), ("n_tall", "i4")]
 )
-# Per block: its length (0 while it holds no record) and the generator's
-# PCG64 state after the short positions, as (state high, state low,
-# has_uint32, uinteger) words.
-_MEMO_BLOCK = np.dtype([("length", "i8"), ("state", "u8", 4)])
-# Most bytes the ToA memo keeps, whatever the run's size: 15 blocks of 8192
-# realizations, more than a preset toa-sweep run's 13.  Blocks past it run
-# without the memo.
-_MEMO_BYTES = 1 << 22
-_WORD = (1 << 64) - 1
 
 
-class _ToaMemo:
-    """The gamma-free stage of each block of the last ToA-only run.
+@functools.lru_cache(maxsize=_GAMMA_FREE_BLOCKS)
+def _gamma_free(scenario0: Scenario, seed: int, index: int, block_len: int) -> tuple:
+    """The gamma-free stage of block ``index`` of a ToA-only run.
 
     ``gamma`` only gates the tall class, and every draw of a block before its
-    tall positions is free of it (see :func:`~dvrchan.pointprocess.sample_block`).
-    A ToA-only run at another ``gamma`` with the same key -- the scenario with
-    ``gamma`` and ``seed`` set to 0, plus the seed and the block size -- reads
-    each block's record here, restores the generator state and draws only the
-    tall positions.  A block's record is used only for the block index and
-    length it was made for.  Its summary is bit for bit the one
-    :func:`_reduce_block` gives.
-
-    The records live in one buffer, allocated when the run shape (block size
-    and memoised block count) changes and otherwise overwritten in place; it
-    holds at most ``_MEMO_BYTES``.  A run holds :attr:`lock` while it uses the
-    memo; a run that finds it held runs without the memo.
+    tall positions is free of it (see :func:`~dvrchan.pointprocess.sample_block`),
+    so ``scenario0`` is the scenario with ``gamma`` and ``seed`` set to 0.
+    Returns a read-only record per realization and the generator state after
+    the short positions; both are shared by every later call with the same
+    key, so neither may be written.
     """
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.key = None
-        self.shape = (0, 0)
-        self.rows = np.empty(0, _MEMO_ROW)
-        self.blocks = np.empty(0, _MEMO_BLOCK)
-
-    @property
-    def nbytes(self) -> int:
-        return self.rows.nbytes + self.blocks.nbytes
-
-    def claim(self, scenario: Scenario, seed: int, block_size: int, n_blocks: int) -> int:
-        """Set up the memo for a run; returns how many of its blocks it memoises."""
-        per_block = block_size * _MEMO_ROW.itemsize + _MEMO_BLOCK.itemsize
-        shape = (block_size, min(n_blocks, _MEMO_BYTES // per_block))
-        key = (dataclasses.replace(scenario, gamma=0.0, seed=0), seed, block_size)
-        if shape != self.shape:
-            self.shape = shape
-            self.rows = np.empty(shape[0] * shape[1], _MEMO_ROW)
-            self.blocks = np.zeros(shape[1], _MEMO_BLOCK)
-        elif key != self.key:
-            self.blocks["length"] = 0
-        self.key = key
-        return shape[1]
-
-    def reduce(
-        self,
-        index: int,
-        block_len: int,
-        scenario: Scenario,
-        interaction: InteractionModel,
-        rng: np.random.Generator,
-    ) -> RunSummary:
-        """ToA-only summary of block ``index``, sampled from the fresh ``rng``."""
-        start = index * self.shape[0]
-        rows = self.rows[start : start + block_len]
-        record = self.blocks[index : index + 1]
-        if record["length"][0] == block_len:
-            state = rng.bit_generator.state
-            high, low, state["has_uint32"], state["uinteger"] = map(int, record["state"][0])
-            state["state"]["state"] = high << 64 | low
-            rng.bit_generator.state = state
-        else:
-            record["length"] = 0
-            # At gamma 0 no gate opens, so sample_block draws the gamma-free
-            # stage and nothing more.
-            free = sample_block(self.key[0], block_len, rng)
-            pick = rng.spawn(1)[0].random(block_len)
-            rows["gate"] = free.gate
-            rows["n_short"] = free.n_short
-            rows["n_tall"] = free.tall_counts
-            rows["closed"] = _picked_path_lengths(free, free.n_tall, pick, scenario.d_prime)
-            rows["open"] = _picked_path_lengths(free, free.tall_counts, pick, scenario.d_prime)
-            state = rng.bit_generator.state
-            value = state["state"]["state"]
-            record["state"] = (value >> 64, value & _WORD, state["has_uint32"], state["uinteger"])
-            record["length"] = block_len
-        u, n_tall, tall_points = sample_gated(scenario, rows["gate"], rows["n_tall"], rng)
-        tau = np.where(u, rows["open"], rows["closed"])
-        tau_open, tau_closed = _toa_moments(tau, u, n_tall, tall_points, scenario.d_prime)
-        return RunSummary(
-            scenario.gamma,
-            interaction.mode,
-            frozenset({"toa"}),
-            int(u.sum()),
-            np.bincount(rows["n_short"] + n_tall),
-            tau_open=tau_open,
-            tau_closed=tau_closed,
-        )
+    # Allocated before the block is drawn: allocated after, the long-lived
+    # record lands among the block's freed temporaries and raises peak RSS.
+    record = np.empty(block_len, _GAMMA_FREE_ROW)
+    rng = substream(seed, index)
+    # At gamma 0 no gate opens, so sample_block draws the gamma-free stage
+    # and nothing more.
+    free = sample_block(scenario0, block_len, rng)
+    pick = rng.spawn(1)[0].random(block_len)
+    record["gate"] = free.gate
+    record["n_short"] = free.n_short
+    record["n_tall"] = free.tall_counts
+    record["closed"] = _picked_path_lengths(free, free.n_tall, pick, scenario0.d_prime)
+    record["open"] = _picked_path_lengths(free, free.tall_counts, pick, scenario0.d_prime)
+    record.flags.writeable = False
+    return record, rng.bit_generator.state
 
 
-_MEMO = _ToaMemo()
+def _reduce_toa(
+    scenario: Scenario, interaction: InteractionModel, seed: int, index: int, block_len: int
+) -> RunSummary:
+    """ToA-only summary of block ``index``, bit for bit the one :func:`_reduce_block` gives.
+
+    Reads the block's gamma-free stage from :func:`_gamma_free` and draws
+    only the tall positions.
+    """
+    scenario0 = dataclasses.replace(scenario, gamma=0.0, seed=0)
+    record, state = _gamma_free(scenario0, seed, index, block_len)
+    rng = substream(seed, index)
+    rng.bit_generator.state = state
+    u, n_tall, tall_points = sample_gated(scenario, record["gate"], record["n_tall"], rng)
+    tau = np.where(u, record["open"], record["closed"])
+    return RunSummary(
+        scenario.gamma,
+        interaction.mode,
+        frozenset({"toa"}),
+        int(u.sum()),
+        np.bincount(record["n_short"] + n_tall),
+        *_toa_moments(tau, u, n_tall, tall_points, scenario.d_prime),
+    )
 
 
 def _block_length(scenario: Scenario) -> int:
@@ -445,7 +399,7 @@ def run_experiment(
     does not depend on the others named, so each computed statistic equals
     that of a full run.  A run computing ``{"toa"}`` alone reuses each
     block's gamma-free draws from an earlier such run at another ``gamma``
-    (see :class:`_ToaMemo`), with the same result.
+    (see :func:`_gamma_free`), with the same result.
     """
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
@@ -457,20 +411,15 @@ def run_experiment(
     if block_size is None:
         block_size = _block_length(scenario)
     n_blocks = -(-n_realizations // block_size)
-    memo = _MEMO if statistics == {"toa"} and _MEMO.lock.acquire(blocking=False) else None
-    try:
-        n_memo = 0 if memo is None else memo.claim(scenario, seed, block_size, n_blocks)
+    cached = _GAMMA_FREE_BLOCKS if statistics == {"toa"} else 0
 
-        def job(index: int) -> RunSummary:
-            rng = substream(seed, index)
-            block_len = min(block_size, n_realizations - index * block_size)
-            if index < n_memo:
-                return memo.reduce(index, block_len, scenario, interaction, rng)
-            block = sample_block(scenario, block_len, rng)
-            return _reduce_block(block, scenario, interaction, rng, statistics)
+    def job(index: int) -> RunSummary:
+        block_len = min(block_size, n_realizations - index * block_size)
+        if index < cached:
+            return _reduce_toa(scenario, interaction, seed, index, block_len)
+        rng = substream(seed, index)
+        block = sample_block(scenario, block_len, rng)
+        return _reduce_block(block, scenario, interaction, rng, statistics)
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return functools.reduce(RunSummary.merge, pool.map(job, range(n_blocks)))
-    finally:
-        if memo is not None:
-            memo.lock.release()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return functools.reduce(RunSummary.merge, pool.map(job, range(n_blocks)))

@@ -165,8 +165,8 @@ def test_substream_independent_of_call_order():
 class TestGammaFreeStage:
     """Every draw of a block before its tall positions is free of ``gamma``.
 
-    The simulator's ToA memo reuses these draws, and the generator state
-    after them, across ``gamma``.
+    The simulator's gamma-free cache (``simulator._gamma_free``) reuses these
+    draws, and the generator state after them, across ``gamma``.
     """
 
     @pytest.mark.parametrize("seed", [3, 4])

@@ -260,13 +260,13 @@ class TestStatisticSets:
     """Every statistic subset draws the same random numbers as a full run."""
 
     @pytest.mark.parametrize("seed", [21, 22])
-    def test_requested_fields_match_full_run(self, seed, monkeypatch):
+    def test_requested_fields_match_full_run(self, seed, cache):
         scenario = make_scenario(seed=seed)
         full = run_experiment(scenario, GTU_REFLECTION, 3_000, block_size=1_000)
         assert full.statistics == STATISTICS
         for workers, wanted, warm in itertools.product((1, 3), _ALL_SUBSETS, (False, True)):
-            # the ToA memo starts empty and, when warm, holds a run at another gamma
-            monkeypatch.setattr(simulator, "_MEMO", simulator._ToaMemo())
+            # the gamma-free cache starts empty and, when warm, holds a run at another gamma
+            cache.cache_clear()
             if warm:
                 run_experiment(
                     dataclasses.replace(scenario, gamma=0.7), GTU_REFLECTION, 3_000,
@@ -328,15 +328,15 @@ def _toa_fields(summary):
 
 
 @pytest.fixture
-def memo(monkeypatch):
-    """A fresh, empty ToA memo for the test."""
-    fresh = simulator._ToaMemo()
-    monkeypatch.setattr(simulator, "_MEMO", fresh)
-    return fresh
+def cache():
+    """The gamma-free cache, emptied before and after the test."""
+    simulator._gamma_free.cache_clear()
+    yield simulator._gamma_free
+    simulator._gamma_free.cache_clear()
 
 
 def _reference(scenario, n, **kwargs):
-    """ToA fields of a run of every statistic, which never reads the memo."""
+    """ToA fields of a run of every statistic, which never reads the cache."""
     return _toa_fields(run_experiment(scenario, GTU_REFLECTION, n, **kwargs))
 
 
@@ -351,11 +351,11 @@ class TestToaMemo:
             run_experiment(scenario, GTU_REFLECTION, n, statistics={"toa"}, **kwargs)
         )
 
-    def test_warm_run_draws_only_tall_positions(self, memo, monkeypatch):
+    def test_warm_run_draws_only_tall_positions(self, cache, monkeypatch):
         scenario = make_scenario(seed=30)
         expected = _reference(scenario, 3_000, block_size=1_000)
         self._toa(dataclasses.replace(scenario, gamma=0.0))
-        assert np.array_equal(memo.blocks["length"], [1_000] * 3)
+        assert cache.cache_info().currsize == 3
         calls = []
         sample = simulator.sample_block
         monkeypatch.setattr(
@@ -365,7 +365,7 @@ class TestToaMemo:
         assert calls == []
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_sweep_order_and_workers(self, memo, workers):
+    def test_sweep_order_and_workers(self, cache, workers):
         base = make_scenario(seed=31)
         for d_prime in (100.0, 400.0, 700.0):
             scenarios = {g: dataclasses.replace(base, d_prime=d_prime, gamma=g) for g in self.GAMMAS}
@@ -386,16 +386,17 @@ class TestToaMemo:
         ],
         ids=["d_prime", "short", "tall", "seed", "n", "block_size"],
     )
-    def test_key_tells_runs_apart(self, memo, fields, n, block_size):
+    def test_key_tells_runs_apart(self, cache, fields, n, block_size):
         base = make_scenario(seed=32)
         self._toa(base)
         other = dataclasses.replace(base, gamma=0.5, **fields)
         expected = _reference(other, n, block_size=block_size)
         assert self._toa(other, n, block_size=block_size) == expected
 
-    def test_concurrent_runs(self, memo):
+    def test_concurrent_runs(self, cache):
         # More threads than cores, each sweeping gamma at its own d', with a
-        # short switch interval: a run that finds the memo held runs without it.
+        # short switch interval: runs share the cache, and more blocks are
+        # live than it holds.
         base = make_scenario(seed=34)
         d_primes = (100.0, 300.0, 500.0, 700.0)
         expected = {
@@ -422,13 +423,11 @@ class TestToaMemo:
         finally:
             sys.setswitchinterval(interval)
         assert got == expected
-        assert not memo.lock.locked()
 
-    def test_memory_capped(self, memo):
-        # The preset's toa-sweep runs (1e5 realizations, 13 blocks) fit the memo.
-        per_block = 8192 * simulator._MEMO_ROW.itemsize + simulator._MEMO_BLOCK.itemsize
-        assert simulator._MEMO_BYTES // per_block >= 13
-        # a run of four times the memo's capacity: blocks past it run without it
+    def test_capacity(self, cache):
+        # The preset's toa-sweep runs (1e5 realizations, 13 blocks) fit the cache.
+        assert simulator._GAMMA_FREE_BLOCKS >= 13
+        # a run of four times the cache's capacity: blocks past it are sampled whole
         scenario = Scenario(
             d_prime=200.0,
             short=ScattererClass("short", 500.0, 300.0, 1e-5),
@@ -436,14 +435,24 @@ class TestToaMemo:
             gamma=0.5,
             seed=35,
         )
-        n = 4 * simulator._MEMO_BYTES // simulator._MEMO_ROW.itemsize
-        self._toa(dataclasses.replace(scenario, gamma=0.22), n, block_size=8192)
-        assert 0 < memo.nbytes <= simulator._MEMO_BYTES
-        assert memo.shape == (8192, simulator._MEMO_BYTES // per_block)
-        with memo.lock:
-            unmemoised = self._toa(scenario, n, block_size=8192)
-        assert self._toa(scenario, n, block_size=8192) == unmemoised
-        assert memo.nbytes <= simulator._MEMO_BYTES
+        n = 4 * simulator._GAMMA_FREE_BLOCKS * 1_000
+        self._toa(dataclasses.replace(scenario, gamma=0.22), n)
+        assert cache.cache_info().currsize == simulator._GAMMA_FREE_BLOCKS
+        assert self._toa(scenario, n) == _reference(scenario, n, block_size=1_000)
+        # the first blocks stay cached rather than each evicting the oldest
+        assert cache.cache_info().hits == simulator._GAMMA_FREE_BLOCKS
+
+    def test_cached_records_read_only(self, cache):
+        # A cached record is shared by every later run and thread.
+        scenario = make_scenario(seed=36)
+        self._toa(scenario)
+        record, _ = cache(dataclasses.replace(scenario, gamma=0.0, seed=0), 36, 0, 1_000)
+        assert cache.cache_info().hits == 1
+        for field in simulator._GAMMA_FREE_ROW.names:
+            with pytest.raises(ValueError, match="read-only"):
+                record[field][0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            record[0] = record[1]
 
 
 def test_block_memory_bounded(gtu):
