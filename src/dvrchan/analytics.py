@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate, stats
 
 from .geometry import (
     KernelDomainError,
@@ -45,6 +44,13 @@ __all__ = [
 ]
 
 SPEED_OF_LIGHT = 299792458.0
+
+# Fixed 32-node Gauss-Legendre rule for the survival-function integrals: on a
+# panel [t0, t0 + L] the nodes sit at t0 + L (1 - cos phi) / 2, which smooths
+# the (t - t0)^(3/2) tangency behaviour at both ends; weights include dt/dphi.
+_phi, _w = np.polynomial.legendre.leggauss(32)
+_phi = 0.5 * math.pi * (_phi + 1.0)
+_GL = np.column_stack([0.5 - 0.5 * np.cos(_phi), 0.25 * math.pi * _w * np.sin(_phi)]).tolist()
 
 MODES = ("reflection", "scattering")
 
@@ -138,6 +144,8 @@ def mpc_pmf(n, scenario: Scenario):
     Mixture of Poisson(mu_s + mu_t) with weight gamma and Poisson(mu_s) with
     weight 1 - gamma.  Accepts scalar or array ``n``.
     """
+    from scipy import stats
+
     mu_s, mu_t = _mus(scenario)
     g = scenario.gamma
     return g * stats.poisson.pmf(n, mu_s + mu_t) + (1.0 - g) * stats.poisson.pmf(n, mu_s)
@@ -186,24 +194,29 @@ def distance_cdf_ms(y: float, scenario: Scenario, class_kind: str) -> float:
     return lens_area(LensSpec(scenario.d_prime, y, cls.v1)) / area
 
 
-def _mean_from_cdf(cdf, upper: float, breakpoint: float) -> float:
-    points = [breakpoint] if 0.0 < breakpoint < upper else None
-    value, _ = integrate.quad(
-        lambda t: 1.0 - cdf(t), 0.0, upper, points=points, epsrel=1e-9, limit=200
-    )
-    return value
+def _mean_from_cdf(cdf, scenario, kind, lower, upper, other_radius) -> float:
+    # Panels split at the support bounds and at the internal-tangency radius.
+    kink = abs(scenario.d_prime - other_radius)
+    edges = [lower, kink, upper] if lower < kink < upper else [lower, upper]
+    total = lower  # the survival function is 1 below the support
+    for t0, t1 in zip(edges, edges[1:]):
+        span = t1 - t0
+        total += span * sum(w * (1.0 - cdf(t0 + span * u, scenario, kind)) for u, w in _GL)
+    return total
 
 
 def mean_distance_bs(scenario: Scenario, class_kind: str) -> float:
     """Mean BS-to-scatterer distance, as the integral of the survival function."""
     a_min, a_max, _, _ = support_bounds(_class_lens(scenario, class_kind))
-    return _mean_from_cdf(lambda t: distance_cdf_bs(t, scenario, class_kind), a_max, a_min)
+    v2 = scenario.scatterer_class(class_kind).v2
+    return _mean_from_cdf(distance_cdf_bs, scenario, class_kind, a_min, a_max, v2)
 
 
 def mean_distance_ms(scenario: Scenario, class_kind: str) -> float:
     """Mean MS-to-scatterer distance, as the integral of the survival function."""
     _, _, b_min, b_max = support_bounds(_class_lens(scenario, class_kind))
-    return _mean_from_cdf(lambda t: distance_cdf_ms(t, scenario, class_kind), b_max, b_min)
+    v1 = scenario.scatterer_class(class_kind).v1
+    return _mean_from_cdf(distance_cdf_ms, scenario, class_kind, b_min, b_max, v1)
 
 
 def _mean_path_length(scenario: Scenario, class_kind: str) -> float:

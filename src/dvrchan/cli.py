@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from . import __version__
 from . import analytics
@@ -176,6 +175,8 @@ def _check_pmf_normalization(scenario) -> tuple[bool, str]:
 
 
 def _check_ks_marginals(scenario, seed, n) -> list[tuple[str, bool, str]]:
+    from scipy import stats
+
     checks = []
     for offset, kind in enumerate(("short", "tall")):
         if mean_active_count(scenario, kind) <= 0.0:

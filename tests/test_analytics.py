@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 import dvrchan as dv
 from dvrchan.analytics import (
@@ -12,7 +12,7 @@ from dvrchan.analytics import (
     NoPathError,
     _y_max,
 )
-from dvrchan.geometry import LensSpec, lens_area, sample_uniform_in_lens
+from dvrchan.geometry import LensSpec, lens_area, sample_uniform_in_lens, support_bounds
 from dvrchan.pointprocess import ScattererClass, Scenario
 
 from _oracles import double_integral, inner_integral, mc_lens_area
@@ -121,7 +121,62 @@ class TestMeanDistances:
             ScattererClass("tall", 4100.0, 4000.0, 0.0),
             0.0,
         )
-        assert dv.mean_distance_ms(scenario, "short") == pytest.approx(200.0, rel=1e-6)
+        assert dv.mean_distance_ms(scenario, "short") == pytest.approx(200.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "d_prime, v1, v2",
+        [
+            (100.0, 500.0, 300.0),  # contained, v1 > v2
+            (100.0, 300.0, 500.0),  # contained, v1 < v2
+            (600.0, 500.0, 300.0),  # partial, v1 > v2
+            (600.0, 300.0, 500.0),  # partial, v1 < v2
+            (800.0 * (1.0 - 1e-6), 500.0, 300.0),  # thin: gap 1e-6 of v1 + v2
+            (700.0, 4100.0, 4000.0),  # tall preset
+            (0.5, 4100.0, 4000.0),
+        ],
+    )
+    def test_matches_tight_quad(self, d_prime, v1, v2):
+        scenario = Scenario(
+            d_prime, ScattererClass("short", v1, v2, 1e-5), ScattererClass("tall", v1, v2, 0.0), 0.0
+        )
+        a_min, a_max, b_min, b_max = support_bounds(LensSpec(d_prime, v1, v2))
+        for mean, cdf, lower, upper, other in (
+            (dv.mean_distance_bs, dv.distance_cdf_bs, a_min, a_max, v2),
+            (dv.mean_distance_ms, dv.distance_cdf_ms, b_min, b_max, v1),
+        ):
+            points = [p for p in (lower, abs(d_prime - other)) if 0.0 < p < upper]
+            reference, _ = integrate.quad(
+                lambda t: 1.0 - cdf(t, scenario, "short"),
+                0.0,
+                upper,
+                points=points or None,
+                epsabs=0.0,
+                epsrel=1e-13,
+                limit=500,
+            )
+            assert mean(scenario, "short") == pytest.approx(reference, rel=1e-12)
+
+    @pytest.mark.parametrize("v1, v2", [(500.0, 300.0), (300.0, 500.0), (4100.0, 4000.0)])
+    def test_centered_path_length(self, v1, v2):
+        scenario = Scenario(
+            0.0, ScattererClass("short", v1, v2, 1e-5), ScattererClass("tall", v1, v2, 0.0), 0.0
+        )
+        length = dv.mean_distance_bs(scenario, "short") + dv.mean_distance_ms(scenario, "short")
+        assert length == pytest.approx(4.0 / 3.0 * min(v1, v2), rel=1e-13)
+
+    @pytest.mark.parametrize("d_prime", [100.0, 600.0, 700.0])
+    def test_swapping_radii_swaps_means(self, d_prime):
+        def scenario(v1, v2):
+            cls = ScattererClass("short", v1, v2, 1e-5)
+            return Scenario(d_prime, cls, ScattererClass("tall", v1, v2, 0.0), 0.0)
+
+        one, other = scenario(500.0, 300.0), scenario(300.0, 500.0)
+        assert dv.mean_distance_bs(other, "short") == pytest.approx(
+            dv.mean_distance_ms(one, "short"), rel=1e-14
+        )
+        assert dv.mean_distance_ms(other, "short") == pytest.approx(
+            dv.mean_distance_bs(one, "short"), rel=1e-14
+        )
 
     @pytest.mark.parametrize("kind", ["short", "tall"])
     def test_matches_sample_mean(self, gtu_scenario, kind):

@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import dvrchan
 from dvrchan.cli import main
 from dvrchan.config import ConfigError, load_config
 
@@ -161,6 +167,35 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "no-path condition reported" in out
         assert "FAIL" not in out
+
+
+class TestImportCost:
+    def test_scipy_loaded_only_by_pmf_and_validate(self, tmp_path):
+        # A fresh interpreter: start-up, toa-sweep, power and angles never
+        # import scipy; pmf and validate load it on first use.
+        script = textwrap.dedent(
+            f"""
+            import sys
+            import dvrchan.cli
+            from dvrchan.config import load_config
+            load_config()
+            out = {str(tmp_path)!r}
+            for command in ("toa-sweep", "power", "angles"):
+                argv = [command, "--realizations", "200", "--out", f"{{out}}/{{command}}.csv"]
+                assert dvrchan.cli.main(argv) == 0, command
+            loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
+            assert not loaded, loaded
+            assert dvrchan.cli.main(["pmf", "--realizations", "200", "--out", f"{{out}}/pmf.csv"]) == 0
+            assert dvrchan.cli.main(["validate", "--realizations", "20000"]) == 0
+            """
+        )
+        src = str(Path(dvrchan.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=600
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestErrorHandling:
