@@ -9,7 +9,7 @@ combined process a Cox process.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ __all__ = [
     "mean_active_count",
     "sample_realization",
     "sample_block",
-    "sample_gated",
+    "sample_class_points",
 ]
 
 KINDS = ("short", "tall")
@@ -101,9 +101,9 @@ class Realization:
 class RealizationBlock:
     """Vectorized batch of realizations.
 
-    Per-realization counts index into the flat position arrays; realization
-    ``j`` owns rows ``offsets[j] : offsets[j] + counts[j]`` of its class
-    array.  ``gate`` holds the uniforms behind the gate states
+    Each class's positions are laid out in realization order, ``counts[j]``
+    rows for realization ``j``; both are ``None`` in a block sampled without
+    positions.  ``gate`` holds the uniforms behind the gate states
     (``u = gate < gamma``) and ``tall_counts`` the tall counts before the gate
     zeroes them.
     """
@@ -111,16 +111,10 @@ class RealizationBlock:
     u: np.ndarray
     n_short: np.ndarray
     n_tall: np.ndarray
-    short_points: np.ndarray
-    tall_points: np.ndarray
+    short_points: np.ndarray | None
+    tall_points: np.ndarray | None
     gate: np.ndarray
     tall_counts: np.ndarray
-    short_offsets: np.ndarray = field(init=False)
-    tall_offsets: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.short_offsets = np.concatenate(([0], np.cumsum(self.n_short)[:-1]))
-        self.tall_offsets = np.concatenate(([0], np.cumsum(self.n_tall)[:-1]))
 
     def __len__(self) -> int:
         return len(self.u)
@@ -145,46 +139,39 @@ def mean_active_count(scenario: Scenario, class_kind: str) -> float:
     return cls.density * lens_area(cls.lens(scenario.d_prime))
 
 
-def _sample_class_points(scenario, cls, count, rng):
+def sample_class_points(
+    scenario: Scenario, cls: ScattererClass, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``count`` points drawn uniformly over the lens of ``cls``."""
     if count == 0:
         return np.empty((0, 2))
     return sample_uniform_in_lens(cls.lens(scenario.d_prime), rng, size=count)
 
 
-def sample_block(scenario: Scenario, n: int, rng: np.random.Generator) -> RealizationBlock:
+def sample_block(
+    scenario: Scenario, n: int, rng: np.random.Generator, positions: bool = True
+) -> RealizationBlock:
     """Sample ``n`` independent realizations in one vectorized pass.
 
     Draw order is fixed (short counts, gate uniforms, tall counts, short
     positions, tall positions) so a given generator state always yields the
-    same block.  Every draw before the tall positions, and so the generator
-    state after them, is the same for every ``gamma``; :func:`sample_gated`
-    draws the rest.
+    same block.  Without ``positions`` it stops after the tall counts.
     """
     mu_s = mean_active_count(scenario, "short")
     mu_t = mean_active_count(scenario, "tall")
     n_short = rng.poisson(mu_s, n)
     gate = rng.random(n)
     # Tall counts are drawn for every realization, whatever its gate, so that
-    # no draw before the tall positions depends on gamma: the simulator's
-    # gamma-free cache reuses those draws across gamma and relies on this layout.
+    # the counts and gate uniforms are the same for every gamma: the
+    # simulator's gamma-free cache relies on this.
     tall_counts = rng.poisson(mu_t, n)
-    short_points = _sample_class_points(scenario, scenario.short, int(n_short.sum()), rng)
-    u, n_tall, tall_points = sample_gated(scenario, gate, tall_counts, rng)
-    return RealizationBlock(u, n_short, n_tall, short_points, tall_points, gate, tall_counts)
-
-
-def sample_gated(
-    scenario: Scenario, gate: np.ndarray, tall_counts: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The gate and tall stage of :func:`sample_block`.
-
-    Returns the gate states, the tall counts zeroed where the gate is closed,
-    and the tall positions drawn from ``rng``.
-    """
     u = gate < scenario.gamma
     n_tall = np.where(u, tall_counts, 0)
-    tall_points = _sample_class_points(scenario, scenario.tall, int(n_tall.sum()), rng)
-    return u, n_tall, tall_points
+    short_points = tall_points = None
+    if positions:
+        short_points = sample_class_points(scenario, scenario.short, int(n_short.sum()), rng)
+        tall_points = sample_class_points(scenario, scenario.tall, int(n_tall.sum()), rng)
+    return RealizationBlock(u, n_short, n_tall, short_points, tall_points, gate, tall_counts)
 
 
 def sample_realization(scenario: Scenario, rng: np.random.Generator) -> Realization:

@@ -9,10 +9,11 @@ result.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ from .pointprocess import (
     Scenario,
     mean_active_count,
     sample_block,
-    sample_gated,
+    sample_class_points,
     substream,
 )
 
@@ -200,44 +201,53 @@ def _histogram_angles(angles: np.ndarray) -> np.ndarray:
     return counts.astype(np.int64)
 
 
-def _picked_path_lengths(
-    block: RealizationBlock, n_tall: np.ndarray, pick: np.ndarray, d_prime: float
-) -> np.ndarray:
-    """Path length of the component each realization picks for the ToA estimator.
+# Per realization: the gate uniform, the path lengths of the component picked
+# with the gate closed and open (see _toa_record), the short and the tall
+# count (int32: a config's mean count per class is at most 1e7).
+_TOA_ROW = np.dtype(
+    [("gate", "f8"), ("closed", "f8"), ("open", "f8"), ("n_short", "i4"), ("n_tall", "i4")]
+)
 
-    Realization ``j`` has ``block.n_short[j] + n_tall[j]`` components and
-    picks the one at index ``floor(pick[j] * count)``, short ones first.
-    Reads NaN where it has none, and ``-1 - k`` where it picks its ``k``-th
-    tall scatterer: :func:`_toa_moments` fills those in from the tall
-    positions, so they need not be drawn yet.
+
+def _path_lengths(scenario: Scenario, cls, count: int, rng: np.random.Generator) -> np.ndarray:
+    x, y = distances(sample_class_points(scenario, cls, count, rng), scenario.d_prime)
+    return x + y
+
+
+def _toa_record(block: RealizationBlock, scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
+    """The component each realization picks for the single-component ToA estimator.
+
+    Reads only the block's counts and gate uniforms, so it is the same for
+    every ``gamma``.  Given its count, a Poisson process's points are i.i.d.
+    uniform over its lens, so the picked component is drawn on its own, with
+    the law it has among all the realization's points.  A child of ``rng``
+    (:meth:`numpy.random.Generator.spawn`, the same whatever ``rng`` has
+    drawn) gives, in order: a uniform ``pick`` per realization; one short-lens
+    point per realization with a short scatterer, whose path length is
+    ``closed``; one tall-lens point per realization that picks a tall
+    scatterer with the gate open, that is where ``pick * (n_short + n_tall) >=
+    n_short``.  ``open`` is that tall point's path length, or else ``closed``.
+    Both are NaN where there is no component.
     """
-    n_total = block.n_short + n_tall
-    tau = np.full(len(pick), math.nan)
-    nonempty = np.flatnonzero(n_total > 0)
-    n_comp = n_total[nonempty]
-    idx = np.minimum((pick[nonempty] * n_comp).astype(np.int64), n_comp - 1)
-    n_short = block.n_short[nonempty]
-    short = np.flatnonzero(idx < n_short)
-    rows = block.short_offsets[nonempty[short]] + idx[short]
-    x, y = distances(block.short_points.take(rows, axis=0), d_prime)
-    tau[nonempty[short]] = x + y
-    tall = np.flatnonzero(idx >= n_short)
-    tau[nonempty[tall]] = n_short[tall] - idx[tall] - 1
-    return tau
+    child = rng.spawn(1)[0]
+    n_short, n_tall = block.n_short, block.tall_counts
+    pick = child.random(len(block))
+    short = np.flatnonzero(n_short > 0)
+    tall = np.flatnonzero((n_tall > 0) & (pick * (n_short + n_tall) >= n_short))
+    record = np.empty(len(block), _TOA_ROW)
+    record["gate"] = block.gate
+    record["n_short"] = n_short
+    record["n_tall"] = n_tall
+    record["closed"] = math.nan
+    record["closed"][short] = _path_lengths(scenario, scenario.short, len(short), child)
+    record["open"] = record["closed"]
+    record["open"][tall] = _path_lengths(scenario, scenario.tall, len(tall), child)
+    return record
 
 
-def _toa_moments(
-    tau: np.ndarray, u: np.ndarray, n_tall: np.ndarray, tall_points: np.ndarray, d_prime: float
-) -> tuple[Moments, Moments]:
-    """Gate-open and gate-closed moments of the picked path lengths ``tau``.
-
-    Fills the tall picks of :func:`_picked_path_lengths` in place from
-    ``tall_points``, laid out by ``n_tall``.
-    """
-    tall = np.flatnonzero(tau < 0.0)
-    rows = (np.cumsum(n_tall) - n_tall)[tall] + (-1.0 - tau[tall]).astype(np.int64)
-    x, y = distances(tall_points.take(rows, axis=0), d_prime)
-    tau[tall] = x + y
+def _toa_moments(record: np.ndarray, u: np.ndarray) -> tuple[Moments, Moments]:
+    """Gate-open and gate-closed moments of the path lengths picked in ``record``."""
+    tau = np.where(u, record["open"], record["closed"])
     defined = ~np.isnan(tau)
     return Moments.of(tau[defined & u]), Moments.of(tau[defined & ~u])
 
@@ -252,22 +262,19 @@ def _reduce_block(
     """Summarize one sampled block, computing only the requested ``statistics``.
 
     Only when ``"power"`` is requested, draws the short and then the tall
-    bounce coefficients from ``rng``.  The uniforms that pick each
-    realization's component for the single-component ToA estimator come from
-    a child of ``rng`` (:meth:`numpy.random.Generator.spawn`), so they do not
-    depend on whether coefficients were drawn.  Each active scatterer is one
-    component; a realization's power is the coherent sum over its
-    components, zero when it has none.
+    bounce coefficients from ``rng``.  The single-component ToA estimator
+    draws from a child of ``rng`` (see :func:`_toa_record`) and reads no
+    position of the block.  Each active scatterer is one component; a
+    realization's power is the coherent sum over its components, zero when it
+    has none.
     """
     block_len = len(block)
     d_prime = scenario.d_prime
     computed = {}
 
     if "toa" in statistics:
-        pick = rng.spawn(1)[0].random(block_len)
-        tau = _picked_path_lengths(block, block.n_tall, pick, d_prime)
         computed["tau_open"], computed["tau_closed"] = _toa_moments(
-            tau, block.u, block.n_tall, block.tall_points, d_prime
+            _toa_record(block, scenario, rng), block.u
         )
 
     if "pooled_toa" in statistics or "power" in statistics:
@@ -308,44 +315,24 @@ def _reduce_block(
     )
 
 
-# The gamma-free stage of a ToA-only run is cached for this many blocks: 16
-# of 8192 realizations at 32 bytes each (~4 MiB), more than a preset
-# toa-sweep run's 13.  Later blocks are sampled whole.
+# The ToA records of a ToA-only run are cached for this many blocks: 16 of
+# 8192 realizations at 32 bytes each (~4 MiB), more than a preset toa-sweep
+# run's 13.  Later blocks are drawn afresh.
 _GAMMA_FREE_BLOCKS = 16
-# Per realization: the gate uniform, the path lengths picked with the gate
-# closed and open (see _picked_path_lengths), the short and the tall count
-# (int32: a config's mean count per class is at most 1e7).
-_GAMMA_FREE_ROW = np.dtype(
-    [("gate", "f8"), ("closed", "f8"), ("open", "f8"), ("n_short", "i4"), ("n_tall", "i4")]
-)
 
 
 @functools.lru_cache(maxsize=_GAMMA_FREE_BLOCKS)
-def _gamma_free(scenario0: Scenario, seed: int, index: int, block_len: int) -> tuple:
-    """The gamma-free stage of block ``index`` of a ToA-only run.
+def _gamma_free(scenario0: Scenario, seed: int, index: int, block_len: int) -> np.ndarray:
+    """The ToA record (:func:`_toa_record`) of block ``index`` of a run.
 
-    ``gamma`` only gates the tall class, and every draw of a block before its
-    tall positions is free of it (see :func:`~dvrchan.pointprocess.sample_block`),
-    so ``scenario0`` is the scenario with ``gamma`` and ``seed`` set to 0.
-    Returns a read-only record per realization and the generator state after
-    the short positions; both are shared by every later call with the same
-    key, so neither may be written.
+    The record is free of ``gamma``, so ``scenario0`` is the scenario with
+    ``gamma`` and ``seed`` set to 0.  It is shared by every later call with
+    the same key, so it is read-only.
     """
-    # Allocated before the block is drawn: allocated after, the long-lived
-    # record lands among the block's freed temporaries and raises peak RSS.
-    record = np.empty(block_len, _GAMMA_FREE_ROW)
     rng = substream(seed, index)
-    # At gamma 0 no gate opens, so sample_block draws the gamma-free stage
-    # and nothing more.
-    free = sample_block(scenario0, block_len, rng)
-    pick = rng.spawn(1)[0].random(block_len)
-    record["gate"] = free.gate
-    record["n_short"] = free.n_short
-    record["n_tall"] = free.tall_counts
-    record["closed"] = _picked_path_lengths(free, free.n_tall, pick, scenario0.d_prime)
-    record["open"] = _picked_path_lengths(free, free.tall_counts, pick, scenario0.d_prime)
+    record = _toa_record(sample_block(scenario0, block_len, rng, positions=False), scenario0, rng)
     record.flags.writeable = False
-    return record, rng.bit_generator.state
+    return record
 
 
 def _reduce_toa(
@@ -353,28 +340,41 @@ def _reduce_toa(
 ) -> RunSummary:
     """ToA-only summary of block ``index``, bit for bit the one :func:`_reduce_block` gives.
 
-    Reads the block's gamma-free stage from :func:`_gamma_free` and draws
-    only the tall positions.
+    Reads the block's record from :func:`_gamma_free` and draws nothing.
     """
     scenario0 = dataclasses.replace(scenario, gamma=0.0, seed=0)
-    record, state = _gamma_free(scenario0, seed, index, block_len)
-    rng = substream(seed, index)
-    rng.bit_generator.state = state
-    u, n_tall, tall_points = sample_gated(scenario, record["gate"], record["n_tall"], rng)
-    tau = np.where(u, record["open"], record["closed"])
+    record = _gamma_free(scenario0, seed, index, block_len)
+    u = record["gate"] < scenario.gamma
     return RunSummary(
         scenario.gamma,
         interaction.mode,
         frozenset({"toa"}),
         int(u.sum()),
-        np.bincount(record["n_short"] + n_tall),
-        *_toa_moments(tau, u, n_tall, tall_points, scenario.d_prime),
+        np.bincount(record["n_short"] + np.where(u, record["n_tall"], 0)),
+        *_toa_moments(record, u),
     )
 
 
 def _block_length(scenario: Scenario) -> int:
     mu = mean_active_count(scenario, "short") + mean_active_count(scenario, "tall")
     return max(1, min(_BLOCK_SIZE, _BLOCK_POINTS // max(1, math.ceil(mu))))
+
+
+def _in_order(
+    pool: ThreadPoolExecutor, job: Callable[[int], RunSummary], n: int, window: int
+) -> Iterator[RunSummary]:
+    """Yield ``job(0), ..., job(n - 1)``, run on ``pool``, in order.
+
+    At most ``window`` jobs are submitted and not yet yielded, so a run of
+    many blocks holds few results at once.
+    """
+    pending = collections.deque()
+    for index in range(n):
+        pending.append(pool.submit(job, index))
+        if len(pending) == window:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 def run_experiment(
@@ -397,9 +397,11 @@ def run_experiment(
     bounds a block's memory.  ``statistics`` is a subset of :data:`STATISTICS` naming
     the optional statistics to compute; what a block draws for one statistic
     does not depend on the others named, so each computed statistic equals
-    that of a full run.  A run computing ``{"toa"}`` alone reuses each
-    block's gamma-free draws from an earlier such run at another ``gamma``
-    (see :func:`_gamma_free`), with the same result.
+    that of a full run.  A run computing ``{"toa"}`` or nothing draws no
+    scatterer position, and one computing ``{"toa"}`` alone reuses each
+    block's ToA record from an earlier such run at another ``gamma`` (see
+    :func:`_gamma_free`), with the same result.  At most ``2 * workers``
+    blocks are in flight at once.
     """
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
@@ -412,14 +414,15 @@ def run_experiment(
         block_size = _block_length(scenario)
     n_blocks = -(-n_realizations // block_size)
     cached = _GAMMA_FREE_BLOCKS if statistics == {"toa"} else 0
+    positions = not statistics <= {"toa"}
 
     def job(index: int) -> RunSummary:
         block_len = min(block_size, n_realizations - index * block_size)
         if index < cached:
             return _reduce_toa(scenario, interaction, seed, index, block_len)
         rng = substream(seed, index)
-        block = sample_block(scenario, block_len, rng)
+        block = sample_block(scenario, block_len, rng, positions=positions)
         return _reduce_block(block, scenario, interaction, rng, statistics)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return functools.reduce(RunSummary.merge, pool.map(job, range(n_blocks)))
+        return functools.reduce(RunSummary.merge, _in_order(pool, job, n_blocks, 2 * workers))

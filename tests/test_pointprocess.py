@@ -163,38 +163,38 @@ def test_substream_independent_of_call_order():
 
 
 class TestGammaFreeStage:
-    """Every draw of a block before its tall positions is free of ``gamma``.
+    """A block's counts, gate uniforms and child stream are free of ``gamma``.
 
-    The simulator's gamma-free cache (``simulator._gamma_free``) reuses these
-    draws, and the generator state after them, across ``gamma``.
+    The simulator's ToA record (``simulator._toa_record``) reads only these,
+    so its gamma-free cache (``simulator._gamma_free``) reuses them across
+    ``gamma``.
     """
 
     @pytest.mark.parametrize("seed", [3, 4])
     @pytest.mark.parametrize("d_prime", [100.0, 400.0, 900.0])
-    def test_same_for_every_gamma(self, gtu, monkeypatch, d_prime, seed):
-        import dvrchan.pointprocess as pp
-
-        gated = pp.sample_gated
-        states = []
-
-        def spy(scenario, gate, tall_counts, rng):
-            states.append(rng.bit_generator.state)
-            return gated(scenario, gate, tall_counts, rng)
-
-        monkeypatch.setattr(pp, "sample_gated", spy)
+    def test_same_for_every_gamma(self, gtu, d_prime, seed):
         draws = []
         for gamma in (0.0, 0.22, 0.5, 1.0):
+            scenario = gtu.scenario(d_prime=d_prime, gamma=gamma)
             rng = substream(seed, 0)
-            block = sample_block(gtu.scenario(d_prime=d_prime, gamma=gamma), 2000, rng)
-            if gamma == 0.0:
-                # no gate opens: the generator stops right after the short positions
-                assert rng.bit_generator.state == states[0]
+            block = sample_block(scenario, 2000, rng)
+            counts = substream(seed, 0)
+            bare = sample_block(scenario, 2000, counts, positions=False)
+            # without positions the generator stops right after the tall counts
+            expected = substream(seed, 0)
+            expected.poisson(mean_active_count(scenario, "short"), 2000)
+            expected.random(2000)
+            expected.poisson(mean_active_count(scenario, "tall"), 2000)
+            assert counts.bit_generator.state == expected.bit_generator.state
+            assert bare.short_points is None and bare.tall_points is None
+            for name in ("u", "n_short", "n_tall", "gate", "tall_counts"):
+                assert np.array_equal(getattr(bare, name), getattr(block, name))
             child = rng.spawn(1)[0].random(2000)
+            assert np.array_equal(child, counts.spawn(1)[0].random(2000))
             draws.append((block.n_short, block.gate, block.tall_counts, block.short_points, child))
             assert np.array_equal(block.u, block.gate < gamma)
             assert np.array_equal(block.n_tall, np.where(block.u, block.tall_counts, 0))
         assert draws[0][0].sum() > 0 or d_prime > 800.0
-        for other, state in zip(draws[1:], states[1:]):
-            assert state == states[0]
+        for other in draws[1:]:
             for a, b in zip(draws[0], other):
                 assert np.array_equal(a, b)

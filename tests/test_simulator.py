@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dvrchan import simulator
+from dvrchan import pointprocess, simulator
 from dvrchan.analytics import InteractionModel, mean_received_power, mean_toa, mpc_pmf
 from dvrchan.pointprocess import (
     RealizationBlock,
@@ -341,7 +341,7 @@ def _reference(scenario, n, **kwargs):
 
 
 class TestToaMemo:
-    """ToA-only runs reuse each block's gamma-free draws with the same result."""
+    """ToA-only runs reuse each block's gamma-free ToA record with the same result."""
 
     GAMMAS = (0.0, 0.22, 0.5, 1.0)
 
@@ -351,16 +351,17 @@ class TestToaMemo:
             run_experiment(scenario, GTU_REFLECTION, n, statistics={"toa"}, **kwargs)
         )
 
-    def test_warm_run_draws_only_tall_positions(self, cache, monkeypatch):
+    def test_warm_run_draws_nothing(self, cache, monkeypatch):
         scenario = make_scenario(seed=30)
         expected = _reference(scenario, 3_000, block_size=1_000)
         self._toa(dataclasses.replace(scenario, gamma=0.0))
         assert cache.cache_info().currsize == 3
         calls = []
-        sample = simulator.sample_block
-        monkeypatch.setattr(
-            simulator, "sample_block", lambda *args: calls.append(args) or sample(*args)
-        )
+        for module, name in ((simulator, "sample_block"), (pointprocess, "sample_uniform_in_lens")):
+            original = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, f=original, **k: calls.append(a) or f(*a, **k)
+            )
         assert self._toa(scenario) == expected
         assert calls == []
 
@@ -446,9 +447,9 @@ class TestToaMemo:
         # A cached record is shared by every later run and thread.
         scenario = make_scenario(seed=36)
         self._toa(scenario)
-        record, _ = cache(dataclasses.replace(scenario, gamma=0.0, seed=0), 36, 0, 1_000)
+        record = cache(dataclasses.replace(scenario, gamma=0.0, seed=0), 36, 0, 1_000)
         assert cache.cache_info().hits == 1
-        for field in simulator._GAMMA_FREE_ROW.names:
+        for field in simulator._TOA_ROW.names:
             with pytest.raises(ValueError, match="read-only"):
                 record[field][0] = 1
         with pytest.raises(ValueError, match="read-only"):
@@ -477,3 +478,53 @@ def test_block_memory_bounded(gtu):
         tracemalloc.stop()
     assert summary.mpc_count_histogram.sum() == 64
     assert peak < 2 * simulator._BLOCK_POINTS * 16
+
+
+@pytest.mark.parametrize("wanted", [{"toa"}, set()], ids=["toa", "none"])
+def test_work_bounded_by_realizations(gtu, cache, monkeypatch, wanted):
+    # The thin-lens short class holds ~1.2e5 scatterers per realization at
+    # d' = 0.1 km; a run that reads no position draws at most the picked
+    # component's short and tall points.
+    scenario = dataclasses.replace(
+        gtu.scenario(d_prime=100.0),
+        short=dataclasses.replace(gtu.short, density=0.42),
+    )
+    assert mean_active_count(scenario, "short") > 1e5
+    points = []
+    sample = pointprocess.sample_uniform_in_lens
+    monkeypatch.setattr(
+        pointprocess,
+        "sample_uniform_in_lens",
+        lambda spec, rng, size=None: points.append(size) or sample(spec, rng, size=size),
+    )
+    n = 500
+    summary = run_experiment(scenario, GTU_REFLECTION, n, statistics=wanted)
+    assert summary.mpc_count_histogram.sum() == n
+    assert sum(points) <= 2 * n
+    if not wanted:
+        assert points == []
+
+
+class TestToaAwayFromPreset:
+    """The ToA estimator agrees with ``mean_toa`` far from the preset lenses."""
+
+    CASES = {
+        # v1 + v2 - d' = 0.3 m = 1e-3 * v: ~1.5 % of the bounding box is lens
+        "thin-short-lens": dict(
+            short=ScattererClass("short", 300.0, 300.0, 1.0), d_prime=599.7, gamma=0.3
+        ),
+        "v1-below-v2": dict(short=ScattererClass("short", 200.0, 600.0, 7.07e-5), d_prime=500.0),
+        "d-prime-zero": dict(short=ScattererClass("short", 300.0, 500.0, 7.07e-5), d_prime=0.0),
+        "gamma-zero": dict(gamma=0.0),
+        "gamma-one": dict(gamma=1.0),
+    }
+
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_closed_form(self, cache, case, seed):
+        fields = {"d_prime": 300.0, "gamma": 0.5, "seed": seed, **self.CASES[case]}
+        scenario = dataclasses.replace(make_scenario(), **fields)
+        assert mean_active_count(scenario, "short") > 1.0
+        summary = run_experiment(scenario, GTU_REFLECTION, 20_000, statistics={"toa"})
+        z = (summary.toa_mean - mean_toa(scenario)) / summary.toa_stderr
+        assert abs(z) < 4.0
