@@ -17,6 +17,7 @@ import numpy as np
 from .geometry import (
     KernelDomainError,
     LensSpec,
+    _lens_area,
     density_kernel,
     distances,
     lens_area,
@@ -50,7 +51,8 @@ SPEED_OF_LIGHT = 299792458.0
 # the (t - t0)^(3/2) tangency behaviour at both ends; weights include dt/dphi.
 _phi, _w = np.polynomial.legendre.leggauss(32)
 _phi = 0.5 * math.pi * (_phi + 1.0)
-_GL = np.column_stack([0.5 - 0.5 * np.cos(_phi), 0.25 * math.pi * _w * np.sin(_phi)]).tolist()
+_GL_NODES = 0.5 - 0.5 * np.cos(_phi)
+_GL_WEIGHTS = 0.25 * math.pi * _w * np.sin(_phi)
 
 MODES = ("reflection", "scattering")
 
@@ -170,53 +172,63 @@ def _full_area(scenario: Scenario, class_kind: str) -> float:
     return area
 
 
-def distance_cdf_bs(x: float, scenario: Scenario, class_kind: str) -> float:
-    """CDF of the BS-to-scatterer distance for an active scatterer."""
-    cls = scenario.scatterer_class(class_kind)
+def _axis_support(scenario: Scenario, class_kind: str, axis: int):
+    # axis 0: distance from the BS (radius v1), 1: from the MS (radius v2).
+    # Returns its support bounds and the radius of the other end's circle.
+    lens = _class_lens(scenario, class_kind)
+    lower, upper = support_bounds(lens)[2 * axis : 2 * axis + 2]
+    return lower, upper, (lens.b, lens.a)[axis]
+
+
+def _distance_cdf(t, scenario: Scenario, class_kind: str, axis: int):
+    # The CDF at t is the share of the lens within distance t of that end.
     area = _full_area(scenario, class_kind)
-    a_min, a_max, _, _ = support_bounds(_class_lens(scenario, class_kind))
-    if x <= a_min:
-        return 0.0
-    if x >= a_max:
-        return 1.0
-    return lens_area(LensSpec(scenario.d_prime, x, cls.v2)) / area
+    lower, upper, other_radius = _axis_support(scenario, class_kind, axis)
+    t = np.asarray(t, dtype=float)
+    # Clipped so that no t outside the support (a negative one, say) reaches the formula.
+    inner =_lens_area(scenario.d_prime, np.clip(t, lower, upper), other_radius) / area
+    cdf = np.where(t <= lower, 0.0, np.where(t >= upper, 1.0, inner))
+    return float(cdf) if cdf.ndim == 0 else cdf
 
 
-def distance_cdf_ms(y: float, scenario: Scenario, class_kind: str) -> float:
-    """CDF of the MS-to-scatterer distance for an active scatterer."""
-    cls = scenario.scatterer_class(class_kind)
-    area = _full_area(scenario, class_kind)
-    _, _, b_min, b_max = support_bounds(_class_lens(scenario, class_kind))
-    if y <= b_min:
-        return 0.0
-    if y >= b_max:
-        return 1.0
-    return lens_area(LensSpec(scenario.d_prime, y, cls.v1)) / area
+def distance_cdf_bs(x, scenario: Scenario, class_kind: str):
+    """CDF of the BS-to-scatterer distance for an active scatterer.
+
+    Accepts scalar or array ``x``; a scalar returns a float.
+    """
+    return _distance_cdf(x, scenario, class_kind, 0)
 
 
-def _mean_from_cdf(cdf, scenario, kind, lower, upper, other_radius) -> float:
+def distance_cdf_ms(y, scenario: Scenario, class_kind: str):
+    """CDF of the MS-to-scatterer distance for an active scatterer.
+
+    Accepts scalar or array ``y``; a scalar returns a float.
+    """
+    return _distance_cdf(y, scenario, class_kind, 1)
+
+
+def _mean_from_cdf(cdf, scenario, kind, axis) -> float:
     # Panels split at the support bounds and at the internal-tangency radius.
+    lower, upper, other_radius = _axis_support(scenario, kind, axis)
     kink = abs(scenario.d_prime - other_radius)
     edges = [lower, kink, upper] if lower < kink < upper else [lower, upper]
     total = lower  # the survival function is 1 below the support
     for t0, t1 in zip(edges, edges[1:]):
         span = t1 - t0
-        total += span * sum(w * (1.0 - cdf(t0 + span * u, scenario, kind)) for u, w in _GL)
+        survival = 1.0 - cdf(t0 + span * _GL_NODES, scenario, kind)
+        # Summed in node order, one float at a time: the means keep their bits.
+        total += span * sum((_GL_WEIGHTS * survival).tolist())
     return total
 
 
 def mean_distance_bs(scenario: Scenario, class_kind: str) -> float:
     """Mean BS-to-scatterer distance, as the integral of the survival function."""
-    a_min, a_max, _, _ = support_bounds(_class_lens(scenario, class_kind))
-    v2 = scenario.scatterer_class(class_kind).v2
-    return _mean_from_cdf(distance_cdf_bs, scenario, class_kind, a_min, a_max, v2)
+    return _mean_from_cdf(distance_cdf_bs, scenario, class_kind, 0)
 
 
 def mean_distance_ms(scenario: Scenario, class_kind: str) -> float:
     """Mean MS-to-scatterer distance, as the integral of the survival function."""
-    _, _, b_min, b_max = support_bounds(_class_lens(scenario, class_kind))
-    v1 = scenario.scatterer_class(class_kind).v1
-    return _mean_from_cdf(distance_cdf_ms, scenario, class_kind, b_min, b_max, v1)
+    return _mean_from_cdf(distance_cdf_ms, scenario, class_kind, 1)
 
 
 def _mean_path_length(scenario: Scenario, class_kind: str) -> float:
@@ -253,38 +265,18 @@ def mean_toa(scenario: Scenario) -> float:
     return expected / SPEED_OF_LIGHT
 
 
-def _y_max(d_prime: float, x: float, v1: float, v2: float) -> float:
-    # Four-way support split on the radii/separation configuration; the first
-    # matching case wins.  The kernel's own domain handles the residual
-    # triangle-inequality cut inside these (occasionally loose) bounds.
-    if v1 - v2 >= d_prime:
-        return v2
-    if v2 - v1 >= d_prime:
-        return min(d_prime + x, d_prime + v1)
-    if v1 < d_prime and v2 < d_prime:
-        return v2
-    return min(d_prime + x, v2)
-
-
 def joint_pdf(x: float, y: float, scenario: Scenario, class_kind: str) -> float:
     """Joint density of the BS and MS distances of an active scatterer.
 
-    Zero outside the support; kernel domain violations inside the nominal
-    support box also map to zero.
+    Zero outside the support ``0 < x < v1``, ``0 < y < v2`` and outside the
+    triangle ``|x - y| < d' < x + y``, which the kernel's domain enforces.
     """
     cls = scenario.scatterer_class(class_kind)
     area = _full_area(scenario, class_kind)
-    d_prime = scenario.d_prime
-    x_min = max(d_prime - cls.v2, 0.0)
-    x_max = min(d_prime + cls.v2, cls.v1)
-    if not x_min < x < x_max:
-        return 0.0
-    y_min = max(d_prime - x, 0.0)
-    y_max = _y_max(d_prime, x, cls.v1, cls.v2)
-    if not y_min < y < y_max:
+    if not (0.0 < x < cls.v1 and 0.0 < y < cls.v2):
         return 0.0
     try:
-        return density_kernel(d_prime, x, y) / area
+        return density_kernel(scenario.d_prime, x, y) / area
     except KernelDomainError:
         return 0.0
 

@@ -186,10 +186,10 @@ def _check_ks_marginals(scenario, seed, n) -> list[tuple[str, bool, str]]:
         points = sample_uniform_in_lens(lens, substream(seed, 1000 + offset), size=n)
         x, y = distances(points, scenario.d_prime)
         for axis, samples, cdf in (
-            ("x", x, lambda t, k=kind: analytics.distance_cdf_bs(t, scenario, k)),
-            ("y", y, lambda t, k=kind: analytics.distance_cdf_ms(t, scenario, k)),
+            ("x", x, analytics.distance_cdf_bs),
+            ("y", y, analytics.distance_cdf_ms),
         ):
-            result = stats.kstest(samples, np.vectorize(cdf))
+            result = stats.kstest(samples, cdf, args=(scenario, kind))
             checks.append(
                 (
                     f"ks-{kind}-{axis}",

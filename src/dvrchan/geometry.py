@@ -12,6 +12,7 @@ All lengths are in meters, areas in square meters.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,53 +67,53 @@ class LensSpec:
             raise ValueError(f"d0 must be finite and >= 0, got {self.d0!r}")
         _require_positive_finite(a=self.a, b=self.b)
 
-    # Boundary ties resolve toward the degenerate branches; both coincide
-    # with the limit of the partial-overlap formula.
-    @property
-    def is_disjoint(self) -> bool:
-        return self.a + self.b <= self.d0
 
-    @property
-    def is_contained(self) -> bool:
-        return not self.is_disjoint and abs(self.a - self.b) >= self.d0
-
-
+@functools.lru_cache(maxsize=256)
 def lens_area(spec: LensSpec) -> float:
-    """Intersection area of the two circles of ``spec``."""
-    if spec.is_disjoint:
-        return 0.0
-    if spec.is_contained:
-        return math.pi * min(spec.a, spec.b) ** 2
-    return lens_area_partial(spec.d0, spec.a, spec.b)
+    """Intersection area of the two circles of ``spec``.
+
+    Memoised on the frozen spec: a run asks for the same few lenses many times.
+    """
+    return float(_lens_area(spec.d0, spec.a, spec.b))
 
 
 def lens_area_partial(d0: float, a: float, b: float) -> float:
     """Overlap area in the genuine partial-overlap regime.
 
-    Requires ``|a - b| <= d0 <= a + b`` with ``d0 > 0``.  The inverse
-    cosines and the triangle root are evaluated through the factored forms
-    ``1 -/+ cos = (product of side sums/differences) / (2 d0 r)`` and
-    ``acos(c) = 2 atan2(sqrt(1 - c), sqrt(1 + c))``, which stay accurate
-    arbitrarily close to the tangency boundaries where the direct
-    ``acos((d0^2 + r^2 - s^2) / (2 d0 r))`` form loses several digits.
+    Requires ``|a - b| <= d0 <= a + b`` with ``d0 > 0``.
     """
     _require_positive_finite(d0=d0, a=a, b=b)
     if abs(a - b) > d0 or d0 > a + b:
         raise ValueError(
             f"(d0={d0}, a={a}, b={b}) is outside the partial-overlap regime"
         )
-    if a < b:
-        # The expression is symmetric in (a, b); canonicalize so the
-        # floating-point result is exactly symmetric too.
-        a, b = b, a
-    f1 = max(d0 + b - a, 0.0)  # internal-tangency factor
+    return float(_lens_area(d0, a, b))
+
+
+def _lens_area(d0, a, b):
+    """Elementwise overlap area of every lens the broadcast arguments describe.
+
+    The inverse cosines and the triangle root are evaluated through the
+    factored forms ``1 -/+ cos = (product of side sums/differences) / (2 d0 r)``
+    and ``acos(c) = 2 atan2(sqrt(1 - c), sqrt(1 + c))``, which stay accurate
+    arbitrarily close to the tangency boundaries where the direct
+    ``acos((d0^2 + r^2 - s^2) / (2 d0 r))`` form loses several digits.  The
+    clamped tangency factors make the same expression 0 for disjoint disks
+    and ``pi b^2`` for a contained one; only concentric equal circles
+    (``atan2(0, 0)``) need the explicit contained branch.
+    """
+    # The expression is symmetric in (a, b); canonicalize so the
+    # floating-point result is exactly symmetric too.
+    a, b = np.maximum(a, b), np.minimum(a, b)
+    f1 = np.maximum(d0 + b - a, 0.0)  # internal-tangency factor
     f2 = d0 + b + a
-    f3 = max(a + b - d0, 0.0)  # external-tangency factor
+    f3 = np.maximum(a + b - d0, 0.0)  # external-tangency factor
     f4 = a + d0 - b
-    angle_a = 2.0 * math.atan2(math.sqrt(f3 * f4), math.sqrt(f1 * f2))
-    angle_b = 2.0 * math.atan2(math.sqrt(f3 * f1), math.sqrt(f4 * f2))
-    root = math.sqrt(f1 * f2 * f3 * f4)
-    return b * b * angle_a + a * a * angle_b - 0.5 * root
+    angle_a = 2.0 * np.arctan2(np.sqrt(f3 * f4), np.sqrt(f1 * f2))
+    angle_b = 2.0 * np.arctan2(np.sqrt(f3 * f1), np.sqrt(f4 * f2))
+    root = np.sqrt(f1 * f2 * f3 * f4)
+    partial = b * b * angle_a + a * a * angle_b - 0.5 * root
+    return np.where(a - b >= d0, math.pi * (b * b), partial)
 
 
 def density_kernel(d_prime: float, x: float, y: float) -> float:

@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 
-from dvrchan.analytics import _y_max
 from dvrchan.geometry import EmptyRegionError, lens_area, lens_area_partial, lens_bounding_box
 
 
@@ -57,7 +56,7 @@ def inner_integral(pdf, scenario, class_kind, x, n_nodes=160):
     """Integrate ``pdf(x, y)`` over the admissible y range at fixed x."""
     cls, d, _, _ = joint_support(scenario, class_kind)
     y_lo = abs(d - x)
-    y_hi = min(_y_max(d, x, cls.v1, cls.v2), x + d)
+    y_hi = min(cls.v2, x + d)
     if y_hi <= y_lo:
         return 0.0
     t, w = np.polynomial.legendre.leggauss(n_nodes)

@@ -10,7 +10,6 @@ from dvrchan.analytics import (
     DegenerateScenarioError,
     InteractionModel,
     NoPathError,
-    _y_max,
 )
 from dvrchan.geometry import LensSpec, lens_area, sample_uniform_in_lens, support_bounds
 from dvrchan.pointprocess import ScattererClass, Scenario
@@ -103,11 +102,45 @@ class TestDistanceCdfs:
         with pytest.raises(DegenerateScenarioError):
             dv.distance_cdf_bs(100.0, scenario, "short")
 
+    @pytest.mark.parametrize("kind", ["short", "tall"])
+    @pytest.mark.parametrize(
+        "d_prime, v1, v2",
+        [
+            (100.0, 500.0, 300.0),  # contained, v1 > v2
+            (100.0, 300.0, 500.0),  # contained, v1 < v2
+            (600.0, 500.0, 300.0),  # partial
+            (800.0 * (1.0 - 1e-6), 500.0, 300.0),  # thin: gap 1e-6 of v1 + v2
+            (0.0, 500.0, 300.0),  # d' = 0
+            (0.0, 300.0, 300.0),  # d' = 0, concentric equal circles
+        ],
+    )
+    def test_array_matches_scalar(self, kind, d_prime, v1, v2):
+        scenario = Scenario(
+            d_prime,
+            ScattererClass("short", v1, v2, 1e-5),
+            ScattererClass("tall", v1, v2, 1e-7),
+            0.5,
+        )
+        if abs(v1 - v2) >= d_prime:
+            assert lens_area(LensSpec(d_prime, v1, v2)) == math.pi * min(v1, v2) ** 2
+        a_min, a_max, b_min, b_max = support_bounds(LensSpec(d_prime, v1, v2))
+        for cdf, lower, upper in (
+            (dv.distance_cdf_bs, a_min, a_max),
+            (dv.distance_cdf_ms, b_min, b_max),
+        ):
+            t = np.concatenate([np.linspace(-1.0, 1.1 * upper, 301), [lower, upper]])
+            values = cdf(t, scenario, kind)
+            scalars = [cdf(float(v), scenario, kind) for v in t]
+            assert all(type(v) is float for v in scalars)
+            np.testing.assert_array_equal(values, scalars)
+            assert np.all(values[t <= lower] == 0.0)
+            assert np.all(values[t >= upper] == 1.0)
+
     def test_matches_sampled_marginal(self, gtu_scenario):
         lens = LensSpec(200.0, 500.0, 300.0)
         pts = sample_uniform_in_lens(lens, np.random.default_rng(23), size=20_000)
         x = np.hypot(pts[:, 0], pts[:, 1])
-        result = stats.kstest(x, np.vectorize(lambda t: dv.distance_cdf_bs(t, gtu_scenario, "short")))
+        result = stats.kstest(x, dv.distance_cdf_bs, args=(gtu_scenario, "short"))
         assert result.pvalue > 0.01
 
 
@@ -253,21 +286,6 @@ class TestJointPdf:
                 - dv.distance_cdf_bs(x - h, gtu_scenario, "short")
             ) / (2.0 * h)
             assert marginal == pytest.approx(fd, rel=1e-3)
-
-    def test_case_boundaries_continuous(self):
-        # the effective upper bound min(y_max, x + d') must agree when two
-        # parameter cases meet
-        rng = np.random.default_rng(31)
-        for _ in range(200):
-            d = rng.uniform(10.0, 300.0)
-            v2 = rng.uniform(10.0, 600.0)
-            x = rng.uniform(max(d - v2, 0.0) + 1e-6, d + v2)
-            for v1 in (v2 + d, v2 - d if v2 > d else None):
-                if v1 is None or v1 <= 0:
-                    continue
-                below = min(_y_max(d, x, v1 * (1 - 1e-12), v2), x + d)
-                above = min(_y_max(d, x, v1 * (1 + 1e-12), v2), x + d)
-                assert below == pytest.approx(above, rel=1e-9)
 
 
 class TestMomentTerms:
