@@ -270,7 +270,15 @@ def joint_pdf(x: float, y: float, scenario: Scenario, class_kind: str) -> float:
 
     Zero outside the support ``0 < x < v1``, ``0 < y < v2`` and outside the
     triangle ``|x - y| < d' < x + y``, which the kernel's domain enforces.
+
+    Raises:
+        DegenerateScenarioError: at ``d' = 0``, where the BS and MS coincide,
+            every scatterer has ``x = y`` and the joint law has no density.
     """
+    if scenario.d_prime == 0.0:
+        raise DegenerateScenarioError(
+            "at d'=0 the joint distance law has no density: its mass lies on x = y"
+        )
     cls = scenario.scatterer_class(class_kind)
     area = _full_area(scenario, class_kind)
     if not (0.0 < x < cls.v1 and 0.0 < y < cls.v2):

@@ -54,8 +54,9 @@ GTU_PRESET = {
 }
 
 # Largest mean number of scatterers of one class per realization that a
-# config may ask for: far above any published density, and far below the
-# counts at which the Poisson sampler fails.
+# config may ask for: far above any published density, and small enough that
+# the Poisson sampler's CDF table (pointprocess._poisson_table) stays under
+# ~600 KiB.
 MAX_MEAN_SCATTERERS = 1e7
 
 # Largest realization count a config or ``--realizations`` may ask for: a

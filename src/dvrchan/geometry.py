@@ -124,19 +124,19 @@ def density_kernel(d_prime: float, x: float, y: float) -> float:
     ``4xy / sqrt(4 d'^2 x^2 - (d'^2 + x^2 - y^2)^2)``, which is what is
     evaluated here (the three-term form loses all precision near the
     boundary, where two ~eps^-1.5 terms cancel down to the true ~eps^-0.5
-    growth).  Defined only where the radicand is strictly positive, i.e.
-    strictly inside the triangle region ``|x - y| < d' < x + y``.
+    growth).  The radicand is evaluated factored,
+    ``(x + d' - y)(x + d' + y)(y - x + d')(y + x - d')``, which is exactly 0 on
+    the support edges even when ``d' << x``, where the expanded form cancels.
+    Defined only where the radicand is strictly positive, i.e. strictly
+    inside the triangle region ``|x - y| < d' < x + y``.
 
     Raises:
         KernelDomainError: outside that region (callers treat the density
             as zero there).
     """
     _require_positive_finite(d_prime=d_prime, x=x, y=y)
-    d2 = d_prime * d_prime
-    x2 = x * x
-    y2 = y * y
     scale = (d_prime * max(x, y)) ** 2
-    radicand = 4.0 * d2 * x2 - (d2 + x2 - y2) ** 2
+    radicand = (x + d_prime - y) * (x + d_prime + y) * (y - x + d_prime) * (y + x - d_prime)
     if radicand <= _RADICAND_SLACK * scale:
         raise KernelDomainError(
             f"kernel undefined at (d'={d_prime}, x={x}, y={y}): radicand <= 0"
@@ -215,7 +215,13 @@ def sample_uniform_in_lens(spec: LensSpec, rng: np.random.Generator, size=None):
 
 
 def distances(points: np.ndarray, d0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Distances of ``(n, 2)`` points from the origin and from ``(d0, 0)``."""
-    x = np.hypot(points[:, 0], points[:, 1])
-    y = np.hypot(points[:, 0] - d0, points[:, 1])
-    return x, y
+    """Distances of ``(n, 2)`` points from the origin and from ``(d0, 0)``.
+
+    Plain ``sqrt`` of the sums of squares, sharing the ``py * py`` term, in
+    place of ``hypot``: the squares overflow only for coordinates beyond
+    ~1e154 m, which no lens the area formula resolves reaches.
+    """
+    px, py = points[:, 0], points[:, 1]
+    py2 = py * py
+    dx = px - d0
+    return np.sqrt(px * px + py2), np.sqrt(dx * dx + py2)

@@ -8,6 +8,7 @@ combined process a Cox process.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -103,9 +104,9 @@ class RealizationBlock:
 
     Each class's positions are laid out in realization order, ``counts[j]``
     rows for realization ``j``; both are ``None`` in a block sampled without
-    positions.  ``gate`` holds the uniforms behind the gate states
-    (``u = gate < gamma``) and ``tall_counts`` the tall counts before the gate
-    zeroes them.
+    positions.  ``gate`` holds the uniforms behind the gate states, sorted,
+    so ``u = gate < gamma`` is a prefix of the block; ``tall_counts`` holds
+    the tall counts before the gate zeroes them.
     """
 
     u: np.ndarray
@@ -148,6 +149,50 @@ def sample_class_points(
     return sample_uniform_in_lens(cls.lens(scenario.d_prime), rng, size=count)
 
 
+# Poisson tables are cached per mean: a run asks for the same few means.  At
+# the largest mean a config allows (1e7) a table holds ~76k entries (~600 KiB).
+_POISSON_TABLES = 32
+
+
+@functools.lru_cache(maxsize=_POISSON_TABLES)
+def _poisson_table(mu: float) -> tuple[int, np.ndarray]:
+    """First count and float64 CDF of Poisson(``mu``) over ``mode ± (12 sqrt(mu) + 12)``.
+
+    The table starts at ``max(0, mode - 12 sqrt(mu) - 12)``.  Its log
+    probabilities are summed from the ratios ``p(k) / p(k - 1) = mu / k``, so
+    it holds for any mean, and its CDF is normalised to end at exactly 1.0.
+    The mass it leaves out, beyond 12 standard deviations plus 12, is far
+    below 2**-53.  Shared by every caller, so read-only.
+    """
+    if mu == 0.0:
+        first, cdf = 0, np.ones(1)
+    else:
+        mode = math.floor(mu)
+        half = math.ceil(12.0 * math.sqrt(mu) + 12.0)
+        first = max(0, mode - half)
+        steps = np.log(mu / np.arange(first + 1, mode + half + 1))
+        log_pmf = np.concatenate(([0.0], np.cumsum(steps)))
+        cdf = np.cumsum(np.exp(log_pmf - log_pmf.max()))
+        cdf /= cdf[-1]
+        cdf[-1] = 1.0
+    cdf.flags.writeable = False
+    return first, cdf
+
+
+def _poisson_counts(mu: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` Poisson(``mu``) counts, each one uniform inverted through a CDF table.
+
+    Inversion by table lookup is exact up to the table (Devroye,
+    *Non-Uniform Random Variate Generation*, 1986, sec. III.2): a count is
+    the first ``k`` whose CDF exceeds its uniform.  The uniforms of
+    ``rng.random`` are multiples of 2**-53, so probability mass finer than
+    that is never drawn.  Always draws exactly ``n`` uniforms, also at
+    ``mu = 0``, where every count is 0.
+    """
+    first, cdf = _poisson_table(float(mu))
+    return np.searchsorted(cdf, rng.random(n), side="right") + first
+
+
 def sample_block(
     scenario: Scenario, n: int, rng: np.random.Generator, positions: bool = True
 ) -> RealizationBlock:
@@ -155,16 +200,21 @@ def sample_block(
 
     Draw order is fixed (short counts, gate uniforms, tall counts, short
     positions, tall positions) so a given generator state always yields the
-    same block.  Without ``positions`` it stops after the tall counts.
+    same block; each count takes one uniform (:func:`_poisson_counts`).
+    Without ``positions`` it stops after the tall counts.  The gate uniforms
+    are sorted, so the gate-open realizations are the first
+    ``searchsorted(gate, gamma)``.  The gate is independent of every other
+    draw, so the block holds ``n`` independent realizations listed in the
+    order of their gate uniforms.
     """
     mu_s = mean_active_count(scenario, "short")
     mu_t = mean_active_count(scenario, "tall")
-    n_short = rng.poisson(mu_s, n)
-    gate = rng.random(n)
+    n_short = _poisson_counts(mu_s, n, rng)
+    gate = np.sort(rng.random(n))
     # Tall counts are drawn for every realization, whatever its gate, so that
     # the counts and gate uniforms are the same for every gamma: the
     # simulator's gamma-free cache relies on this.
-    tall_counts = rng.poisson(mu_t, n)
+    tall_counts = _poisson_counts(mu_t, n, rng)
     u = gate < scenario.gamma
     n_tall = np.where(u, tall_counts, 0)
     short_points = tall_points = None

@@ -245,11 +245,18 @@ def _toa_record(block: RealizationBlock, scenario: Scenario, rng: np.random.Gene
     return record
 
 
-def _toa_moments(record: np.ndarray, u: np.ndarray) -> tuple[Moments, Moments]:
-    """Gate-open and gate-closed moments of the path lengths picked in ``record``."""
-    tau = np.where(u, record["open"], record["closed"])
-    defined = ~np.isnan(tau)
-    return Moments.of(tau[defined & u]), Moments.of(tau[defined & ~u])
+def _toa_moments(record: np.ndarray, k: int) -> tuple[Moments, Moments]:
+    """Gate-open and gate-closed moments of the path lengths picked in ``record``.
+
+    The gate uniforms are sorted, so the first ``k`` realizations are the
+    gate-open ones.
+    """
+    tau_open = record["open"][:k]
+    tau_closed = record["closed"][k:]
+    return (
+        Moments.of(tau_open[~np.isnan(tau_open)]),
+        Moments.of(tau_closed[~np.isnan(tau_closed)]),
+    )
 
 
 def _reduce_block(
@@ -270,11 +277,12 @@ def _reduce_block(
     """
     block_len = len(block)
     d_prime = scenario.d_prime
+    n_open = int(np.count_nonzero(block.u))
     computed = {}
 
     if "toa" in statistics:
         computed["tau_open"], computed["tau_closed"] = _toa_moments(
-            _toa_record(block, scenario, rng), block.u
+            _toa_record(block, scenario, rng), n_open
         )
 
     if "pooled_toa" in statistics or "power" in statistics:
@@ -309,7 +317,7 @@ def _reduce_block(
         scenario.gamma,
         interaction.mode,
         statistics,
-        int(block.u.sum()),
+        n_open,
         np.bincount(block.n_short + block.n_tall),
         **computed,
     )
@@ -344,14 +352,16 @@ def _reduce_toa(
     """
     scenario0 = dataclasses.replace(scenario, gamma=0.0, seed=0)
     record = _gamma_free(scenario0, seed, index, block_len)
-    u = record["gate"] < scenario.gamma
+    k = int(np.searchsorted(record["gate"], scenario.gamma))
+    counts = record["n_short"].copy()
+    counts[:k] += record["n_tall"][:k]
     return RunSummary(
         scenario.gamma,
         interaction.mode,
         frozenset({"toa"}),
-        int(u.sum()),
-        np.bincount(record["n_short"] + np.where(u, record["n_tall"], 0)),
-        *_toa_moments(record, u),
+        k,
+        np.bincount(counts),
+        *_toa_moments(record, k),
     )
 
 
@@ -400,8 +410,9 @@ def run_experiment(
     that of a full run.  A run computing ``{"toa"}`` or nothing draws no
     scatterer position, and one computing ``{"toa"}`` alone reuses each
     block's ToA record from an earlier such run at another ``gamma`` (see
-    :func:`_gamma_free`), with the same result.  At most ``2 * workers``
-    blocks are in flight at once.
+    :func:`_gamma_free`), with the same result.  One worker runs the blocks
+    inline, one after another; more run on a thread pool with at most
+    ``2 * workers`` blocks in flight at once.
     """
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
@@ -424,5 +435,7 @@ def run_experiment(
         block = sample_block(scenario, block_len, rng, positions=positions)
         return _reduce_block(block, scenario, interaction, rng, statistics)
 
+    if workers == 1:
+        return functools.reduce(RunSummary.merge, map(job, range(n_blocks)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return functools.reduce(RunSummary.merge, _in_order(pool, job, n_blocks, 2 * workers))

@@ -262,6 +262,18 @@ class TestJointPdf:
         # inside the nominal box but violating the triangle inequality
         assert dv.joint_pdf(400.0, 100.0, gtu_scenario, "short") == 0.0
 
+    def test_edge_with_short_baseline_is_zero(self):
+        # on the edge y = x + d' with d' << x (see test_geometry's kernel test)
+        scenario = make_scenario(d_prime=6.5e-4)
+        for x in np.linspace(999.0, 1001.0, 201):
+            assert dv.joint_pdf(x, x + 6.5e-4, scenario, "tall") == 0.0
+
+    def test_coincident_ends_have_no_density(self):
+        scenario = make_scenario(d_prime=0.0)
+        for x, y in ((100.0, 100.0), (100.0, 200.0), (600.0, 100.0)):
+            with pytest.raises(DegenerateScenarioError, match="no density"):
+                dv.joint_pdf(x, y, scenario, "short")
+
     def test_normalization_short(self, gtu_scenario):
         total = double_integral(
             lambda x, y: dv.joint_pdf(x, y, gtu_scenario, "short"),

@@ -136,6 +136,15 @@ class TestDensityKernel:
     def test_interior_point_positive(self):
         assert density_kernel(200.0, 450.0, 280.0) > 0.0
 
+    def test_edge_with_short_baseline_is_domain_error(self):
+        # d' << x: the expanded radicand 4 d'^2 x^2 - (d'^2 + x^2 - y^2)^2
+        # cancels to a spurious positive value on the edge y = x + d' at 7
+        # of these x; the factored one is exactly 0 there
+        d = 6.5e-4
+        for x in np.linspace(999.0, 1001.0, 201):
+            with pytest.raises(KernelDomainError):
+                density_kernel(d, float(x), float(x) + d)
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             density_kernel(0.0, 1.0, 1.0)

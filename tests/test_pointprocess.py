@@ -1,3 +1,5 @@
+import decimal
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +8,8 @@ from scipy import stats
 
 from dvrchan.geometry import lens_area
 from dvrchan.pointprocess import (
+    _poisson_counts,
+    _poisson_table,
     Realization,
     ScattererClass,
     Scenario,
@@ -180,12 +184,14 @@ class TestGammaFreeStage:
             block = sample_block(scenario, 2000, rng)
             counts = substream(seed, 0)
             bare = sample_block(scenario, 2000, counts, positions=False)
-            # without positions the generator stops right after the tall counts
+            # without positions the generator stops right after the tall
+            # counts: one uniform per short count, per gate, per tall count
             expected = substream(seed, 0)
-            expected.poisson(mean_active_count(scenario, "short"), 2000)
             expected.random(2000)
-            expected.poisson(mean_active_count(scenario, "tall"), 2000)
+            gate = expected.random(2000)
+            expected.random(2000)
             assert counts.bit_generator.state == expected.bit_generator.state
+            assert np.array_equal(bare.gate, np.sort(gate))
             assert bare.short_points is None and bare.tall_points is None
             for name in ("u", "n_short", "n_tall", "gate", "tall_counts"):
                 assert np.array_equal(getattr(bare, name), getattr(block, name))
@@ -193,8 +199,64 @@ class TestGammaFreeStage:
             assert np.array_equal(child, counts.spawn(1)[0].random(2000))
             draws.append((block.n_short, block.gate, block.tall_counts, block.short_points, child))
             assert np.array_equal(block.u, block.gate < gamma)
+            # the gate uniforms are sorted, so the gate-open realizations lead
+            assert np.array_equal(block.u, np.arange(2000) < np.count_nonzero(block.u))
             assert np.array_equal(block.n_tall, np.where(block.u, block.tall_counts, 0))
         assert draws[0][0].sum() > 0 or d_prime > 800.0
         for other in draws[1:]:
             for a, b in zip(draws[0], other):
                 assert np.array_equal(a, b)
+
+
+def _exact_table_cdf(mu, first, n):
+    """Poisson(mu) CDF over counts first..first+n-1, normalised there, in 40 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        terms = [decimal.Decimal(1)]
+        for k in range(first + 1, first + n):
+            terms.append(terms[-1] * decimal.Decimal(mu) / k)
+        total = sum(terms)
+        return np.array([float(c / total) for c in itertools.accumulate(terms)])
+
+
+class TestPoissonInversion:
+    """Counts are one uniform each, inverted through a cached CDF table."""
+
+    MEANS = (1e-3, 0.5, 8.7, 20.0, 1e3, 1e6)
+
+    @pytest.mark.parametrize("mu", MEANS)
+    def test_table_matches_cdf(self, mu):
+        first, cdf = _poisson_table(mu)
+        assert len(cdf) <= 24.0 * math.sqrt(mu) + 27.0
+        assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
+        last = first + len(cdf) - 1
+        assert stats.poisson.cdf(first - 1, mu) + stats.poisson.sf(last, mu) < 2.0**-53
+        assert np.abs(cdf - _exact_table_cdf(mu, first, len(cdf))).max() < 1e-12
+        # scipy's own CDF is off by ~4e-11 at mu = 1e6 (against the exact sum)
+        reference = stats.poisson.cdf(np.arange(first, last + 1), mu)
+        assert np.abs(cdf - reference).max() < (1e-12 if mu <= 1e3 else 1e-10)
+
+    @pytest.mark.parametrize("mu", MEANS)
+    def test_chi_square(self, mu):
+        counts = _poisson_counts(mu, 100_000, np.random.default_rng(2027))
+        first, cdf = _poisson_table(mu)
+        assert counts.min() >= first and counts.max() < first + len(cdf)
+        observed = np.bincount(counts - first, minlength=len(cdf))
+        expected = stats.poisson.pmf(np.arange(first, first + len(cdf)), mu) * len(counts)
+        # merge neighbouring counts into cells expecting at least 20 draws
+        cells = np.cumsum(np.concatenate(([0.0], expected)))
+        edges = np.searchsorted(cells, np.arange(0.0, cells[-1], 20.0), side="right") - 1
+        edges = np.unique(np.concatenate((edges[:-1], [len(expected)])))
+        obs = np.add.reduceat(observed, edges[:-1])
+        exp = np.add.reduceat(expected, edges[:-1])
+        chi2 = float(np.sum((obs - exp) ** 2 / exp))
+        assert stats.chi2.sf(chi2, max(len(obs) - 1, 1)) > 0.01
+
+    @pytest.mark.parametrize("mu", [0.0, 20.0])
+    def test_one_uniform_per_count(self, mu):
+        rng, expected = np.random.default_rng(8), np.random.default_rng(8)
+        counts = _poisson_counts(mu, 1000, rng)
+        expected.random(1000)
+        assert rng.bit_generator.state == expected.bit_generator.state
+        assert len(counts) == 1000
+        assert counts.any() == (mu > 0.0)
