@@ -34,6 +34,10 @@ from .simulator import ANGLE_BIN_EDGES, run_experiment
 
 __all__ = ["main"]
 
+# Most threads ``--workers`` may ask the block pool for: well above the cores
+# a run can use, far below what would exhaust the host's threads.
+MAX_WORKERS = 64
+
 
 def _fmt(value) -> str:
     if isinstance(value, float):
@@ -310,7 +314,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--realizations", type=_int_in(1, MAX_REALIZATIONS), help="override realization count"
         )
-        p.add_argument("--workers", type=_int_in(1), default=1, help="parallel worker count")
+        p.add_argument(
+            "--workers", type=_int_in(1, MAX_WORKERS), default=1, help="parallel worker count"
+        )
     return parser
 
 

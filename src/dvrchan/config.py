@@ -59,6 +59,11 @@ GTU_PRESET = {
 # ~600 KiB.
 MAX_MEAN_SCATTERERS = 1e7
 
+# Largest visibility radius, in meters, a config may ask for: the lens area
+# formula (geometry._lens_area) stays finite for radii up to this bound at
+# every d', and squaring it cannot overflow.
+MAX_RADIUS_M = 1e75
+
 # Largest realization count a config or ``--realizations`` may ask for: a
 # thousand times the preset's largest.
 MAX_REALIZATIONS = 10**8
@@ -156,10 +161,10 @@ def _load_class(kind: str, data: dict, path: str, unit: float) -> ScattererClass
     v2 = _number(data, path, "v2", scale=unit)
     mantissa = _number(data, path, "density", minimum=0.0)
     exponent = _number(data, path, "density_exponent")
-    if v1 <= 0.0:
-        raise ConfigError(f"{path}.v1", "must be > 0")
-    if v2 <= 0.0:
-        raise ConfigError(f"{path}.v2", "must be > 0")
+    for name, radius in (("v1", v1), ("v2", v2)):
+        if not 0.0 < radius <= MAX_RADIUS_M:
+            most = f"{MAX_RADIUS_M:.0e} m"
+            raise ConfigError(f"{path}.{name}", f"must be > 0 and <= {most}, got {radius:.6g} m")
     try:
         density = mantissa * 10.0**exponent
     except OverflowError:

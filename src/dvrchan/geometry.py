@@ -100,11 +100,15 @@ def _lens_area(d0, a, b):
     ``acos((d0^2 + r^2 - s^2) / (2 d0 r))`` form loses several digits.  The
     clamped tangency factors make the same expression 0 for disjoint disks
     and ``pi b^2`` for a contained one; only concentric equal circles
-    (``atan2(0, 0)``) need the explicit contained branch.
+    (``atan2(0, 0)``) need the explicit contained branch.  Disjoint disks are
+    evaluated at external tangency, ``d0 = a + b``, where the expression is
+    exactly 0 too, so a far-away ``d0`` overflows no factor: with radii up to
+    1e75 m every product stays finite.
     """
     # The expression is symmetric in (a, b); canonicalize so the
     # floating-point result is exactly symmetric too.
     a, b = np.maximum(a, b), np.minimum(a, b)
+    d0 = np.minimum(d0, a + b)
     f1 = np.maximum(d0 + b - a, 0.0)  # internal-tangency factor
     f2 = d0 + b + a
     f3 = np.maximum(a + b - d0, 0.0)  # external-tangency factor

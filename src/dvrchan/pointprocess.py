@@ -106,19 +106,21 @@ class RealizationBlock:
     rows for realization ``j``; both are ``None`` in a block sampled without
     positions.  ``gate`` holds the uniforms behind the gate states, sorted,
     so ``u = gate < gamma`` is a prefix of the block; ``tall_counts`` holds
-    the tall counts before the gate zeroes them.
+    the tall counts before the gate zeroes them.  Together with ``n_short``
+    these are free of ``gamma``; the simulator's cached blocks keep only them
+    and set ``u`` and ``n_tall`` to ``None``.
     """
 
-    u: np.ndarray
+    u: np.ndarray | None
     n_short: np.ndarray
-    n_tall: np.ndarray
+    n_tall: np.ndarray | None
     short_points: np.ndarray | None
     tall_points: np.ndarray | None
     gate: np.ndarray
     tall_counts: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.u)
+        return len(self.gate)
 
 
 def substream(seed: int, index: int) -> np.random.Generator:

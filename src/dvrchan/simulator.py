@@ -201,21 +201,15 @@ def _histogram_angles(angles: np.ndarray) -> np.ndarray:
     return counts.astype(np.int64)
 
 
-# Per realization: the gate uniform, the path lengths of the component picked
-# with the gate closed and open (see _toa_record), the short and the tall
-# count (int32: a config's mean count per class is at most 1e7).
-_TOA_ROW = np.dtype(
-    [("gate", "f8"), ("closed", "f8"), ("open", "f8"), ("n_short", "i4"), ("n_tall", "i4")]
-)
-
-
 def _path_lengths(scenario: Scenario, cls, count: int, rng: np.random.Generator) -> np.ndarray:
     x, y = distances(sample_class_points(scenario, cls, count, rng), scenario.d_prime)
     return x + y
 
 
-def _toa_record(block: RealizationBlock, scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
-    """The component each realization picks for the single-component ToA estimator.
+def _toa_pick(
+    block: RealizationBlock, scenario: Scenario, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Path lengths ``(closed, open)`` of the component each realization picks for ToA.
 
     Reads only the block's counts and gate uniforms, so it is the same for
     every ``gamma``.  Given its count, a Poisson process's points are i.i.d.
@@ -234,55 +228,45 @@ def _toa_record(block: RealizationBlock, scenario: Scenario, rng: np.random.Gene
     pick = child.random(len(block))
     short = np.flatnonzero(n_short > 0)
     tall = np.flatnonzero((n_tall > 0) & (pick * (n_short + n_tall) >= n_short))
-    record = np.empty(len(block), _TOA_ROW)
-    record["gate"] = block.gate
-    record["n_short"] = n_short
-    record["n_tall"] = n_tall
-    record["closed"] = math.nan
-    record["closed"][short] = _path_lengths(scenario, scenario.short, len(short), child)
-    record["open"] = record["closed"]
-    record["open"][tall] = _path_lengths(scenario, scenario.tall, len(tall), child)
-    return record
-
-
-def _toa_moments(record: np.ndarray, k: int) -> tuple[Moments, Moments]:
-    """Gate-open and gate-closed moments of the path lengths picked in ``record``.
-
-    The gate uniforms are sorted, so the first ``k`` realizations are the
-    gate-open ones.
-    """
-    tau_open = record["open"][:k]
-    tau_closed = record["closed"][k:]
-    return (
-        Moments.of(tau_open[~np.isnan(tau_open)]),
-        Moments.of(tau_closed[~np.isnan(tau_closed)]),
-    )
+    closed = np.full(len(block), math.nan)
+    closed[short] = _path_lengths(scenario, scenario.short, len(short), child)
+    open_ = closed.copy()
+    open_[tall] = _path_lengths(scenario, scenario.tall, len(tall), child)
+    return closed, open_
 
 
 def _reduce_block(
     block: RealizationBlock,
     scenario: Scenario,
     interaction: InteractionModel,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     statistics: frozenset = STATISTICS,
+    pick: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> RunSummary:
-    """Summarize one sampled block, computing only the requested ``statistics``.
+    """Summarize one block, computing only the requested ``statistics``.
 
-    Only when ``"power"`` is requested, draws the short and then the tall
-    bounce coefficients from ``rng``.  The single-component ToA estimator
-    draws from a child of ``rng`` (see :func:`_toa_record`) and reads no
-    position of the block.  Each active scatterer is one component; a
-    realization's power is the coherent sum over its components, zero when it
-    has none.
+    Reads the gate from ``scenario.gamma``, the block's sorted gate uniforms
+    and its ungated tall counts, so a block drawn at any ``gamma`` reduces
+    the same way.  Only when ``"power"`` is requested, draws the short and
+    then the tall bounce coefficients from ``rng``.  The single-component ToA
+    estimator reads ``pick``, drawn from a child of ``rng`` when not given
+    (see :func:`_toa_pick`), and no position of the block.  Each active
+    scatterer is one component; a realization's power is the coherent sum
+    over its components, zero when it has none.
     """
     block_len = len(block)
     d_prime = scenario.d_prime
-    n_open = int(np.count_nonzero(block.u))
+    # The gate uniforms are sorted: the first n_open realizations are gate-open.
+    n_open = int(np.searchsorted(block.gate, scenario.gamma))
+    n_tall = block.tall_counts[:n_open]
+    counts = block.n_short.copy()
+    counts[:n_open] += n_tall
     computed = {}
 
     if "toa" in statistics:
-        computed["tau_open"], computed["tau_closed"] = _toa_moments(
-            _toa_record(block, scenario, rng), n_open
+        closed, open_ = _toa_pick(block, scenario, rng) if pick is None else pick
+        computed["tau_open"], computed["tau_closed"] = (
+            Moments.of(tau[~np.isnan(tau)]) for tau in (open_[:n_open], closed[n_open:])
         )
 
     if "pooled_toa" in statistics or "power" in statistics:
@@ -296,11 +280,11 @@ def _reduce_block(
             r_tall = rng.normal(interaction.coeff_mean, sigma, len(block.tall_points))
             re = np.zeros(block_len)
             im = np.zeros(block_len)
-            for x, y, r, counts in (
+            for x, y, r, class_counts in (
                 (xs, ys, r_short, block.n_short),
-                (xt, yt, r_tall, block.n_tall),
+                (xt, yt, r_tall, n_tall),
             ):
-                seg = np.repeat(np.arange(block_len), counts)
+                seg = np.repeat(np.arange(len(class_counts)), class_counts)
                 c, s = interaction.phasor(x, y, r)
                 re += np.bincount(seg, weights=c, minlength=block_len)
                 im += np.bincount(seg, weights=s, minlength=block_len)
@@ -318,51 +302,38 @@ def _reduce_block(
         interaction.mode,
         statistics,
         n_open,
-        np.bincount(block.n_short + block.n_tall),
+        np.bincount(counts),
         **computed,
     )
 
 
-# The ToA records of a ToA-only run are cached for this many blocks: 16 of
-# 8192 realizations at 32 bytes each (~4 MiB), more than a preset toa-sweep
+# The gamma-free arrays of a ToA-only run are cached for this many blocks: 16
+# of 8192 realizations at 32 bytes each (~4 MiB), more than a preset toa-sweep
 # run's 13.  Later blocks are drawn afresh.
 _GAMMA_FREE_BLOCKS = 16
 
 
 @functools.lru_cache(maxsize=_GAMMA_FREE_BLOCKS)
-def _gamma_free(scenario0: Scenario, seed: int, index: int, block_len: int) -> np.ndarray:
-    """The ToA record (:func:`_toa_record`) of block ``index`` of a run.
+def _gamma_free(
+    scenario0: Scenario, seed: int, index: int, block_len: int
+) -> tuple[RealizationBlock, tuple[np.ndarray, np.ndarray]]:
+    """Block ``index`` of a run without positions, and its ToA pick (:func:`_toa_pick`).
 
-    The record is free of ``gamma``, so ``scenario0`` is the scenario with
-    ``gamma`` and ``seed`` set to 0.  It is shared by every later call with
-    the same key, so it is read-only.
+    Both are free of ``gamma``, so ``scenario0`` is the scenario with
+    ``gamma`` and ``seed`` set to 0.  The block keeps only what
+    :func:`_reduce_block` reads of it: the gate uniforms and the short and
+    ungated tall counts, as int32 (a config's mean count per class is at
+    most 1e7), 32 bytes per realization with the pick.  Shared by every later
+    call with the same key, so every array is read-only.
     """
     rng = substream(seed, index)
-    record = _toa_record(sample_block(scenario0, block_len, rng, positions=False), scenario0, rng)
-    record.flags.writeable = False
-    return record
-
-
-def _reduce_toa(
-    scenario: Scenario, interaction: InteractionModel, seed: int, index: int, block_len: int
-) -> RunSummary:
-    """ToA-only summary of block ``index``, bit for bit the one :func:`_reduce_block` gives.
-
-    Reads the block's record from :func:`_gamma_free` and draws nothing.
-    """
-    scenario0 = dataclasses.replace(scenario, gamma=0.0, seed=0)
-    record = _gamma_free(scenario0, seed, index, block_len)
-    k = int(np.searchsorted(record["gate"], scenario.gamma))
-    counts = record["n_short"].copy()
-    counts[:k] += record["n_tall"][:k]
-    return RunSummary(
-        scenario.gamma,
-        interaction.mode,
-        frozenset({"toa"}),
-        k,
-        np.bincount(counts),
-        *_toa_moments(record, k),
-    )
+    block = sample_block(scenario0, block_len, rng, positions=False)
+    pick = _toa_pick(block, scenario0, rng)
+    n_short, tall_counts = block.n_short.astype(np.int32), block.tall_counts.astype(np.int32)
+    block = RealizationBlock(None, n_short, None, None, None, block.gate, tall_counts)
+    for array in (block.gate, block.n_short, block.tall_counts, *pick):
+        array.flags.writeable = False
+    return block, pick
 
 
 def _block_length(scenario: Scenario) -> int:
@@ -409,10 +380,10 @@ def run_experiment(
     does not depend on the others named, so each computed statistic equals
     that of a full run.  A run computing ``{"toa"}`` or nothing draws no
     scatterer position, and one computing ``{"toa"}`` alone reuses each
-    block's ToA record from an earlier such run at another ``gamma`` (see
-    :func:`_gamma_free`), with the same result.  One worker runs the blocks
-    inline, one after another; more run on a thread pool with at most
-    ``2 * workers`` blocks in flight at once.
+    block's gamma-free arrays from an earlier such run at another ``gamma``
+    (see :func:`_gamma_free`) through the same reducer, with the same result.
+    One worker runs the blocks inline, one after another; more run on a
+    thread pool with at most ``2 * workers`` blocks in flight at once.
     """
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
@@ -426,11 +397,13 @@ def run_experiment(
     n_blocks = -(-n_realizations // block_size)
     cached = _GAMMA_FREE_BLOCKS if statistics == {"toa"} else 0
     positions = not statistics <= {"toa"}
+    scenario0 = dataclasses.replace(scenario, gamma=0.0, seed=0)
 
     def job(index: int) -> RunSummary:
         block_len = min(block_size, n_realizations - index * block_size)
         if index < cached:
-            return _reduce_toa(scenario, interaction, seed, index, block_len)
+            block, pick = _gamma_free(scenario0, seed, index, block_len)
+            return _reduce_block(block, scenario, interaction, None, statistics, pick)
         rng = substream(seed, index)
         block = sample_block(scenario, block_len, rng, positions=positions)
         return _reduce_block(block, scenario, interaction, rng, statistics)

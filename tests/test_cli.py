@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import dvrchan
@@ -28,6 +33,10 @@ def read_csv(path):
         else:
             rows.append(line.split(","))
     return meta, header, rows
+
+
+# Realization counts that keep a command at any config fast.
+_FEW = {"pmf": 50, "toa": 50, "power": 50, "angles": 50}
 
 
 def write_config(tmp_path, overrides, name="config.json"):
@@ -220,6 +229,23 @@ class TestErrorHandling:
                 {"scenario": {"short": {"density": 1e300, "density_exponent": 0}}},
                 "scenario.short.density",
             ),
+            ({"scenario": {"short": {"v1": 1e200, "v2": 1e200}}}, "scenario.short.v1"),
+            (
+                {"scenario": {"short": {"v1": 1, "v2": 1e200, "density": 0}}},
+                "scenario.short.v2",
+            ),
+            (
+                {
+                    "scenario": {
+                        "length_unit": "m",
+                        "d_prime": 1e78,
+                        "short": {"v1": 1e78, "v2": 1e78, "density": 0},
+                        "tall": {"v1": 1e78, "v2": 1e78, "density": 0},
+                    }
+                },
+                "scenario.short.v1",
+            ),
+            ({"scenario": {"tall": {"v2": 1.0000000001e72}}}, "scenario.tall.v2"),
         ],
         ids=[
             "gamma-out-of-range",
@@ -234,6 +260,10 @@ class TestErrorHandling:
             "realizations-huge",
             "realizations-above-maximum",
             "density-mean-count-too-large",
+            "radii-overflow-when-squared",
+            "radius-above-maximum-at-density-0",
+            "radii-and-d_prime-overflow-lens-area",
+            "radius-just-above-maximum-in-km",
         ],
     )
     def test_invalid_gamma_names_field(self, tmp_path, capsys, overrides, field):
@@ -254,23 +284,41 @@ class TestErrorHandling:
     def test_missing_out(self, capsys):
         assert main(["pmf", "--realizations", "2000"]) == 2
         assert "--out" in capsys.readouterr().err
-        # a realization count outside 1..10**8, a worker count below one and
-        # a negative seed are usage errors too, also for validate
+        # a realization count outside 1..10**8, a worker count outside 1..64
+        # and a negative seed are usage errors too, also for validate; the
+        # message names the flag and, for a count above it, the maximum
         bad = (
-            ("--realizations", "0"),
-            ("--realizations", "-5"),
-            ("--realizations", str(10**8 + 1)),
-            ("--realizations", str(10**30)),
-            ("--seed", "-1"),
-            ("--workers", "0"),
-            ("--workers", "-3"),
+            ("--realizations", "0", "1"),
+            ("--realizations", "-5", "1"),
+            ("--realizations", str(10**8 + 1), str(10**8)),
+            ("--realizations", str(10**30), str(10**8)),
+            ("--seed", "-1", "0"),
+            ("--workers", "0", "1"),
+            ("--workers", "-3", "1"),
+            ("--workers", "5000", "<= 64"),
         )
         for command in ("pmf", "validate"):
-            for flag, value in bad:
+            for flag, value, bound in bad:
                 with pytest.raises(SystemExit) as exc:
                     main([command, flag, value, "--out", "x.csv"])
                 assert exc.value.code == 2
-                assert flag in capsys.readouterr().err
+                err = capsys.readouterr().err
+                assert flag in err and bound in err
+
+    def test_largest_radius_runs(self, tmp_path):
+        # radii and d' at the 1e75 m bound keep every lens area finite
+        big = {"v1": 1e75, "v2": 1e75, "density": 1.0, "density_exponent": -150}
+        cfg = write_config(
+            tmp_path,
+            {
+                "scenario": {"length_unit": "m", "d_prime": 1e75, "short": big, "tall": big},
+                "sweep": {"toa_d_prime": [1e75], "power_d_prime": [1e75]},
+                "realizations": _FEW,
+            },
+        )
+        assert load_config(cfg).short.v1 == 1e75
+        for command in ("pmf", "toa-sweep", "power", "angles"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
 
     def test_unwritable_output(self, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "dir" / "x.csv"
@@ -326,3 +374,93 @@ class TestConfigLoading:
     def test_config_error_type(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, {"seed": -3}))
+
+
+# Positive numbers over 60 orders of magnitude, mixed with numbers of every
+# magnitude and either sign, infinities, NaN and huge integers.
+_MAGNITUDE = st.builds(lambda m, e: m * 10.0**e, st.floats(0.1, 10.0), st.integers(-30, 30))
+_NUMBER = st.one_of(_MAGNITUDE, _MAGNITUDE, _MAGNITUDE, st.floats(), st.integers())
+_UNIT_NUMBER = st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1.0), _NUMBER)
+_CLASS = st.fixed_dictionaries(
+    {},
+    optional={
+        "v1": _NUMBER,
+        "v2": _NUMBER,
+        "density": _NUMBER,
+        "density_exponent": st.one_of(st.integers(-400, 400), _NUMBER),
+    },
+)
+_COEFF = st.fixed_dictionaries({}, optional={"coeff_mean": _NUMBER, "coeff_var": _NUMBER})
+_CONFIGS = st.fixed_dictionaries(
+    {"realizations": st.fixed_dictionaries({key: st.integers(1, 50) for key in _FEW})},
+    optional={
+        "scenario": st.fixed_dictionaries(
+            {},
+            optional={
+                "length_unit": st.sampled_from(["km", "m"]),
+                "d_prime": _NUMBER,
+                "gamma": _UNIT_NUMBER,
+                "short": _CLASS,
+                "tall": _CLASS,
+            },
+        ),
+        "interaction": st.fixed_dictionaries(
+            {},
+            optional={
+                "modes": st.lists(
+                    st.sampled_from(["reflection", "scattering"]), max_size=2, unique=True
+                ),
+                "transmit_power_w": _NUMBER,
+                "frequency_ghz": _NUMBER,
+                "reflection": _COEFF,
+                "scattering": _COEFF,
+            },
+        ),
+        "sweep": st.fixed_dictionaries(
+            {},
+            optional={
+                "toa_d_prime": st.lists(_NUMBER, max_size=2),
+                "toa_gamma": st.lists(_UNIT_NUMBER, max_size=2),
+                "power_d_prime": st.lists(_NUMBER, max_size=2),
+            },
+        ),
+        "seed": st.integers(-1, 2**70),
+    },
+)
+
+
+class TestConfigFuzz:
+    """Any config runs, exits 2 naming a field, or exits 1 with a named error."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(overrides=_CONFIGS)
+    @example(overrides={"scenario": {"d_prime": 1e200}, "realizations": _FEW})
+    @example(overrides={"sweep": {"power_d_prime": [1e200]}, "realizations": _FEW})
+    @example(overrides={"scenario": {"short": {"v1": 1e200, "v2": 1e200}}, "realizations": _FEW})
+    @example(
+        overrides={
+            "scenario": {
+                "length_unit": "m",
+                "d_prime": 1e78,
+                "short": {"v1": 1e78, "v2": 1e78, "density": 0},
+                "tall": {"v1": 1e78, "v2": 1e78, "density": 0},
+            },
+            "realizations": _FEW,
+        }
+    )
+    def test_every_command_exits_cleanly(self, overrides):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(Path(tmp), overrides)
+            with contextlib.suppress(ConfigError):
+                # a run's cost grows with the scatterers it draws: keep it small
+                loaded = load_config(cfg)
+                classes = (loaded.short, loaded.tall)
+                assume(max(c.density * math.pi * min(c.v1, c.v2) ** 2 for c in classes) <= 1e3)
+            for command in ("pmf", "toa-sweep", "power", "angles"):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main([command, "--config", cfg, "--out", os.path.join(tmp, "x.csv")])
+                assert code in (0, 1, 2), (command, code)
+                if code == 2:
+                    # the message names the offending field or the unreadable file
+                    assert err.getvalue().startswith("config error: "), err.getvalue()

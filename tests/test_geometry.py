@@ -1,10 +1,12 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from dvrchan import geometry
 from dvrchan.geometry import (
     EmptyRegionError,
     KernelDomainError,
@@ -35,10 +37,25 @@ TALL_LENS_AREA_MC = 4.97273e7
 
 class TestLensArea:
     def test_disjoint(self):
-        assert lens_area(LensSpec(700.0, 300.0, 300.0)) == 0.0
+        # far apart, the factor product f1 * f2 overflows past d0 ~ 1.3e154 m
+        # unless disjoint disks are evaluated at tangency
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            for spec in (LensSpec(700.0, 300.0, 300.0), LensSpec(1e200, 500.0, 300.0)):
+                assert lens_area.__wrapped__(spec) == 0.0
 
     def test_contained(self):
         assert lens_area(LensSpec(100.0, 500.0, 300.0)) == pytest.approx(math.pi * 300.0**2)
+
+    def test_finite_up_to_the_radius_bound(self):
+        # config.MAX_RADIUS_M = 1e75 m: radii up to it keep every product finite
+        rng = np.random.default_rng(7)
+        a, b = 10.0 ** rng.uniform(-3.0, 75.0, (2, 20_000))
+        d0 = rng.uniform(0.0, 1.0, 20_000) * (a + b) * 1.1
+        with np.errstate(all="raise"):
+            area = geometry._lens_area(d0, a, b)
+            assert geometry._lens_area(0.0, 1e75, 1e75) == math.pi * (1e75 * 1e75)
+        assert np.all((area >= 0.0) & (area <= math.pi * np.minimum(a, b) ** 2 * (1.0 + 1e-12)))
 
     def test_unit_lens_against_mc_oracle(self):
         value = lens_area(LensSpec(1.0, 1.0, 1.0))

@@ -169,9 +169,9 @@ def test_substream_independent_of_call_order():
 class TestGammaFreeStage:
     """A block's counts, gate uniforms and child stream are free of ``gamma``.
 
-    The simulator's ToA record (``simulator._toa_record``) reads only these,
-    so its gamma-free cache (``simulator._gamma_free``) reuses them across
-    ``gamma``.
+    The simulator's ToA pick (``simulator._toa_pick``) reads only these, so
+    its gamma-free cache (``simulator._gamma_free``) keeps them and the pick
+    and reuses them across ``gamma``.
     """
 
     @pytest.mark.parametrize("seed", [3, 4])

@@ -444,16 +444,18 @@ class TestToaMemo:
         assert cache.cache_info().hits == simulator._GAMMA_FREE_BLOCKS
 
     def test_cached_records_read_only(self, cache):
-        # A cached record is shared by every later run and thread.
+        # A cache entry is shared by every later run and thread, and holds
+        # 32 bytes per realization: the gate, two int32 counts, the pick.
         scenario = make_scenario(seed=36)
         self._toa(scenario)
-        record = cache(dataclasses.replace(scenario, gamma=0.0, seed=0), 36, 0, 1_000)
+        block, pick = cache(dataclasses.replace(scenario, gamma=0.0, seed=0), 36, 0, 1_000)
         assert cache.cache_info().hits == 1
-        for field in simulator._TOA_ROW.names:
+        assert block.u is block.n_tall is block.short_points is block.tall_points is None
+        arrays = (block.gate, block.n_short, block.tall_counts, *pick)
+        assert sum(array.nbytes for array in arrays) <= 32 * len(block)
+        for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
-                record[field][0] = 1
-        with pytest.raises(ValueError, match="read-only"):
-            record[0] = record[1]
+                array[0] = 1
 
 
 def test_block_memory_bounded(gtu):
