@@ -28,7 +28,7 @@ from .analytics import (
     mpc_pmf,
 )
 from .config import MAX_REALIZATIONS, ConfigError, RunConfig, load_config
-from .geometry import LensSpec, distances, lens_area, sample_uniform_in_lens
+from .geometry import EmptyRegionError, LensSpec, distances, lens_area, sample_uniform_in_lens
 from .pointprocess import mean_active_count, sample_realization, substream
 from .simulator import ANGLE_BIN_EDGES, run_experiment
 
@@ -60,9 +60,14 @@ def _write_csv(path: str, cfg: RunConfig, seed: int, command: str, header, rows)
 
 
 def _pmf_support(scenario) -> np.ndarray:
-    mu = mean_active_count(scenario, "short") + mean_active_count(scenario, "tall")
-    cap = int(math.ceil(mu + 10.0 * math.sqrt(mu))) + 1
-    return np.arange(max(cap, 2))
+    """The counts ``pmf`` writes, increasing: 0, 1 and every count within
+    10 standard deviations of the mean of either Poisson component."""
+    mu_s = mean_active_count(scenario, "short")
+    windows = [np.arange(2)]
+    for m in (mu_s, mu_s + mean_active_count(scenario, "tall")):
+        lo = max(0, math.floor(m - 10.0 * math.sqrt(m)))
+        windows.append(np.arange(lo, math.ceil(m + 10.0 * math.sqrt(m)) + 1))
+    return np.unique(np.concatenate(windows))
 
 
 def cmd_pmf(cfg: RunConfig, seed: int, n: int, workers: int, out: str) -> int:
@@ -73,14 +78,14 @@ def cmd_pmf(cfg: RunConfig, seed: int, n: int, workers: int, out: str) -> int:
     )
     support = _pmf_support(scenario)
     analytic = mpc_pmf(support, scenario)
-    empirical = np.zeros(len(support))
     hist = summary.empirical_pmf
-    width = min(len(hist), len(support))
-    empirical[:width] = hist[:width]
+    observed = support < len(hist)
+    empirical = np.zeros(len(support))
+    empirical[observed] = hist[support[observed]]
     stderr = np.sqrt(empirical * (1.0 - empirical) / n)
     rows = [
-        (int(k), float(analytic[k]), float(empirical[k]), float(stderr[k]))
-        for k in support
+        (int(k), float(p), float(e), float(se))
+        for k, p, e, se in zip(support, analytic, empirical, stderr)
     ]
     _write_csv(out, cfg, seed, "pmf", ("n", "analytic_pmf", "empirical_pmf", "stderr"), rows)
     return 0
@@ -263,8 +268,6 @@ def cmd_validate(cfg: RunConfig, seed: int, n: int | None, workers: int) -> int:
         try:
             mean_toa(scenario)
             checks.append(("degenerate-no-path", False, "mean_toa did not flag no-path"))
-        except NoPathError:
-            checks.append(("degenerate-no-path", True, "no-path condition reported"))
         except DegenerateScenarioError:
             checks.append(("degenerate-no-path", True, "no-path condition reported"))
     else:
@@ -331,24 +334,24 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     seed = cfg.seed if args.seed is None else args.seed
-    if args.command == "validate":
-        return cmd_validate(cfg, seed, args.realizations, args.workers)
-    if args.out is None:
+    if args.command != "validate" and args.out is None:
         print("error: --out is required for this command", file=sys.stderr)
         return 2
-    n = args.realizations or cfg.realizations[_DEFAULT_REALIZATION_KEY[args.command]]
-    handler = {
-        "pmf": cmd_pmf,
-        "toa-sweep": cmd_toa_sweep,
-        "power": cmd_power,
-        "angles": cmd_angles,
-    }[args.command]
     try:
+        if args.command == "validate":
+            return cmd_validate(cfg, seed, args.realizations, args.workers)
+        n = args.realizations or cfg.realizations[_DEFAULT_REALIZATION_KEY[args.command]]
+        handler = {
+            "pmf": cmd_pmf,
+            "toa-sweep": cmd_toa_sweep,
+            "power": cmd_power,
+            "angles": cmd_angles,
+        }[args.command]
         return handler(cfg, seed, n, args.workers, args.out)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
-    except DegenerateScenarioError as exc:
+    except (DegenerateScenarioError, EmptyRegionError) as exc:
         print(f"error: degenerate scenario: {exc}", file=sys.stderr)
         return 1
 

@@ -98,16 +98,17 @@ def _lens_area(d0, a, b):
     and ``acos(c) = 2 atan2(sqrt(1 - c), sqrt(1 + c))``, which stay accurate
     arbitrarily close to the tangency boundaries where the direct
     ``acos((d0^2 + r^2 - s^2) / (2 d0 r))`` form loses several digits.  The
-    clamped tangency factors make the same expression 0 for disjoint disks
-    and ``pi b^2`` for a contained one; only concentric equal circles
-    (``atan2(0, 0)``) need the explicit contained branch.  Disjoint disks are
-    evaluated at external tangency, ``d0 = a + b``, where the expression is
-    exactly 0 too, so a far-away ``d0`` overflows no factor: with radii up to
-    1e75 m every product stays finite.
+    clamped tangency factors make the same expression ``pi b^2`` for a
+    contained disk; only concentric equal circles (``atan2(0, 0)``) need the
+    explicit contained branch.  Disjoint disks (``d0 >= a + b``) are 0, tested
+    before ``d0`` is clamped to ``a + b``: a ``b`` below half an ulp of ``a``
+    would otherwise read as contained.  The clamp keeps a far-away ``d0`` from
+    overflowing a factor: with radii up to 1e75 m every product stays finite.
     """
     # The expression is symmetric in (a, b); canonicalize so the
     # floating-point result is exactly symmetric too.
     a, b = np.maximum(a, b), np.minimum(a, b)
+    disjoint = d0 >= a + b
     d0 = np.minimum(d0, a + b)
     f1 = np.maximum(d0 + b - a, 0.0)  # internal-tangency factor
     f2 = d0 + b + a
@@ -117,7 +118,7 @@ def _lens_area(d0, a, b):
     angle_b = 2.0 * np.arctan2(np.sqrt(f3 * f1), np.sqrt(f4 * f2))
     root = np.sqrt(f1 * f2 * f3 * f4)
     partial = b * b * angle_a + a * a * angle_b - 0.5 * root
-    return np.where(a - b >= d0, math.pi * (b * b), partial)
+    return np.select([disjoint, a - b >= d0], [0.0, math.pi * (b * b)], partial)
 
 
 def density_kernel(d_prime: float, x: float, y: float) -> float:
@@ -168,24 +169,27 @@ def lens_bounding_box(spec: LensSpec) -> tuple[float, float, float, float]:
     return (x_lo, x_hi, -y_hi, y_hi)
 
 
-def sample_uniform_in_lens(spec: LensSpec, rng: np.random.Generator, size=None):
-    """Draw points uniformly over the lens by rejection from its bounding box.
+def sample_uniform_in_lens(spec: LensSpec, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``(size, 2)`` points uniformly over the lens by rejection from its bounding box.
 
     Each round draws ``k = min(_CHUNK, remaining / acceptance + 16)``
     candidates, all ``k`` x values and then all ``k`` y values, keeps those
     inside the lens in order, and repeats until ``size`` points are filled.
     Memory per round is bounded by ``_CHUNK`` whatever the acceptance rate.
-    Returns a single ``(2,)`` point when ``size`` is None, else an
-    ``(size, 2)`` array.
+
+    Raises:
+        EmptyRegionError: the lens or its bounding box has no positive area,
+            as when a radius is below the floating-point resolution of ``d0``.
     """
-    area = lens_area(spec)
-    if area <= 0.0:
-        raise EmptyRegionError(f"cannot sample from zero-area lens {spec}")
-    n = 1 if size is None else int(size)
+    n = int(size)
     if n < 0:
         raise ValueError(f"size must be non-negative, got {size!r}")
+    area = lens_area(spec)
     x_lo, x_hi, y_lo, y_hi = lens_bounding_box(spec)
-    accept_rate = area / ((x_hi - x_lo) * (y_hi - y_lo))
+    box = (x_hi - x_lo) * (y_hi - y_lo)
+    if not (area > 0.0 and box > 0.0):
+        raise EmptyRegionError(f"cannot sample from lens {spec}: area {area!r}, box {box!r}")
+    accept_rate = area / box
     a2, b2, d0 = spec.a * spec.a, spec.b * spec.b, spec.d0
     low = np.array([[x_lo], [y_lo]])
     span = np.array([[x_hi - x_lo], [y_hi - y_lo]])
@@ -215,7 +219,7 @@ def sample_uniform_in_lens(spec: LensSpec, rng: np.random.Generator, size=None):
         out[filled : filled + len(hits), 0] = cx.take(hits)
         out[filled : filled + len(hits), 1] = cy.take(hits)
         filled += len(hits)
-    return out[0] if size is None else out
+    return out
 
 
 def distances(points: np.ndarray, d0: float) -> tuple[np.ndarray, np.ndarray]:

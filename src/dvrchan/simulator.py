@@ -52,7 +52,7 @@ _BLOCK_POINTS = 1 << 21
 
 # Optional statistics a run can compute.  The count histogram and the gate
 # count are always computed.
-STATISTICS = frozenset({"toa", "pooled_toa", "power", "angles"})
+STATISTICS = frozenset({"toa", "power", "angles"})
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,6 @@ class RunSummary:
     mpc_count_histogram: np.ndarray
     tau_open: Moments = Moments()
     tau_closed: Moments = Moments()
-    pooled_tau: Moments = Moments()
     power: Moments = Moments()
     aod_histogram: np.ndarray = dataclasses.field(default_factory=lambda: np.zeros(0, np.int64))
     aoa_histogram: np.ndarray = dataclasses.field(default_factory=lambda: np.zeros(0, np.int64))
@@ -139,7 +138,6 @@ class RunSummary:
             mpc_count_histogram=hist,
             tau_open=self.tau_open.merge(other.tau_open),
             tau_closed=self.tau_closed.merge(other.tau_closed),
-            pooled_tau=self.pooled_tau.merge(other.pooled_tau),
             power=self.power.merge(other.power),
             aod_histogram=self.aod_histogram + other.aod_histogram,
             aoa_histogram=self.aoa_histogram + other.aoa_histogram,
@@ -166,11 +164,6 @@ class RunSummary:
                 tau += weight * branch.mean
                 var += (weight * branch.stderr) ** 2
         return tau / SPEED_OF_LIGHT, math.sqrt(var) / SPEED_OF_LIGHT
-
-    @property
-    def pooled_toa_mean(self) -> float:
-        """Mean ToA over all components pooled across realizations, seconds."""
-        return self.pooled_tau.mean / SPEED_OF_LIGHT
 
     @property
     def power_mean(self) -> float:
@@ -269,26 +262,21 @@ def _reduce_block(
             Moments.of(tau[~np.isnan(tau)]) for tau in (open_[:n_open], closed[n_open:])
         )
 
-    if "pooled_toa" in statistics or "power" in statistics:
-        xs, ys = distances(block.short_points, d_prime)
-        xt, yt = distances(block.tall_points, d_prime)
-        if "pooled_toa" in statistics:
-            computed["pooled_tau"] = Moments.of(np.concatenate((xs + ys, xt + yt)))
-        if "power" in statistics:
-            sigma = math.sqrt(interaction.coeff_var)
-            r_short = rng.normal(interaction.coeff_mean, sigma, len(block.short_points))
-            r_tall = rng.normal(interaction.coeff_mean, sigma, len(block.tall_points))
-            re = np.zeros(block_len)
-            im = np.zeros(block_len)
-            for x, y, r, class_counts in (
-                (xs, ys, r_short, block.n_short),
-                (xt, yt, r_tall, n_tall),
-            ):
-                seg = np.repeat(np.arange(len(class_counts)), class_counts)
-                c, s = interaction.phasor(x, y, r)
-                re += np.bincount(seg, weights=c, minlength=block_len)
-                im += np.bincount(seg, weights=s, minlength=block_len)
-            computed["power"] = Moments.of(interaction.k0 * (re * re + im * im))
+    if "power" in statistics:
+        sigma = math.sqrt(interaction.coeff_var)
+        r_short = rng.normal(interaction.coeff_mean, sigma, len(block.short_points))
+        r_tall = rng.normal(interaction.coeff_mean, sigma, len(block.tall_points))
+        re = np.zeros(block_len)
+        im = np.zeros(block_len)
+        for points, r, class_counts in (
+            (block.short_points, r_short, block.n_short),
+            (block.tall_points, r_tall, n_tall),
+        ):
+            seg = np.repeat(np.arange(len(class_counts)), class_counts)
+            c, s = interaction.phasor(*distances(points, d_prime), r)
+            re += np.bincount(seg, weights=c, minlength=block_len)
+            im += np.bincount(seg, weights=s, minlength=block_len)
+        computed["power"] = Moments.of(interaction.k0 * (re * re + im * im))
 
     if "angles" in statistics:
         points = np.concatenate((block.short_points, block.tall_points))
@@ -364,7 +352,6 @@ def run_experiment(
     n_realizations: int,
     seed: int | None = None,
     workers: int = 1,
-    block_size: int | None = None,
     *,
     statistics: Iterable[str] = STATISTICS,
 ) -> RunSummary:
@@ -373,9 +360,9 @@ def run_experiment(
     Realizations are partitioned into fixed-size blocks with deterministic
     per-block RNG substreams and merged in block order, so the result depends
     only on (scenario, seed, n_realizations), never on the worker count.
-    ``block_size`` defaults to ``min(8192, 2**21 // ceil(mean scatterers per
-    realization))``, at least 1, which depends on the scenario alone and
-    bounds a block's memory.  ``statistics`` is a subset of :data:`STATISTICS` naming
+    A block holds ``min(8192, 2**21 // ceil(mean scatterers per
+    realization))`` realizations, at least 1, which depends on the scenario
+    alone and bounds a block's memory.  ``statistics`` is a subset of :data:`STATISTICS` naming
     the optional statistics to compute; what a block draws for one statistic
     does not depend on the others named, so each computed statistic equals
     that of a full run.  A run computing ``{"toa"}`` or nothing draws no
@@ -392,8 +379,7 @@ def run_experiment(
         raise ValueError(f"unknown statistics {sorted(statistics - STATISTICS)}")
     if seed is None:
         seed = scenario.seed
-    if block_size is None:
-        block_size = _block_length(scenario)
+    block_size = _block_length(scenario)
     n_blocks = -(-n_realizations // block_size)
     cached = _GAMMA_FREE_BLOCKS if statistics == {"toa"} else 0
     positions = not statistics <= {"toa"}

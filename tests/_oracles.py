@@ -103,7 +103,7 @@ def grid_cells(spec, grid, x, y):
 SAMPLER_ROUND = 16384
 
 
-def loop_sample_uniform_in_lens(spec, rng, size=None):
+def loop_sample_uniform_in_lens(spec, rng, size):
     """The lens sampler written with fresh arrays and whole-array masks.
 
     Each round draws ``k = min(SAMPLER_ROUND, remaining / acceptance + 16)`` x
@@ -113,7 +113,7 @@ def loop_sample_uniform_in_lens(spec, rng, size=None):
     area = lens_area(spec)
     if area <= 0.0:
         raise EmptyRegionError(f"cannot sample from zero-area lens {spec}")
-    n = 1 if size is None else int(size)
+    n = int(size)
     if n < 0:
         raise ValueError(f"size must be non-negative, got {size!r}")
     x_lo, x_hi, y_lo, y_hi = lens_bounding_box(spec)
@@ -133,7 +133,7 @@ def loop_sample_uniform_in_lens(spec, rng, size=None):
         out[filled : filled + take, 0] = hits_x[:take]
         out[filled : filled + take, 1] = hits_y[:take]
         filled += take
-    return out[0] if size is None else out
+    return out
 
 
 def _ray_interval(center_x, disk_x, radius, theta):

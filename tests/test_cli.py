@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import dvrchan
+from dvrchan import cli
 from dvrchan.cli import main
 from dvrchan.config import ConfigError, load_config
 
@@ -77,6 +78,19 @@ class TestPmfCommand:
         n = np.array([int(r[0]) for r in rows])
         analytic = np.array([float(r[1]) for r in rows])
         np.testing.assert_allclose(analytic, stats.poisson.pmf(n, GTU_MU_SHORT), rtol=1e-10)
+
+    def test_dense_support_skips_counts_without_mass(self, tmp_path):
+        # ~2.0e6 short scatterers per realization: counts from 0 would be
+        # ~2.0e6 rows, of which those within 10 sigma of a Poisson mean
+        # (~2.8e4) carry the mass
+        cfg = write_config(tmp_path, {"scenario": {"short": {"density_exponent": 0}}})
+        out = tmp_path / "pmf.csv"
+        assert main(["pmf", "--config", cfg, "--out", str(out), "--realizations", "10"]) == 0
+        _, _, rows = read_csv(out)
+        n = [int(r[0]) for r in rows]
+        assert len(rows) <= 30_000
+        assert n[:2] == [0, 1] and n == sorted(set(n))
+        assert cli._check_pmf_normalization(load_config(cfg).scenario())[0]
 
 
 class TestToaSweepCommand:
@@ -448,6 +462,20 @@ class TestConfigFuzz:
             "realizations": _FEW,
         }
     )
+    # radii below the floating-point resolution of the other radius or of d'
+    @example(
+        overrides={
+            "scenario": {"length_unit": "km", "d_prime": 0.0, "short": {"v1": 1e-17}},
+            "realizations": _FEW,
+        }
+    )
+    @example(overrides={"scenario": {"d_prime": 0.0, "tall": {"v2": 1e-17}}, "realizations": _FEW})
+    @example(
+        overrides={
+            "scenario": {"length_unit": "m", "d_prime": 200, "tall": {"v1": 4100, "v2": 1e-14}},
+            "realizations": _FEW,
+        }
+    )
     def test_every_command_exits_cleanly(self, overrides):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = write_config(Path(tmp), overrides)
@@ -456,10 +484,17 @@ class TestConfigFuzz:
                 loaded = load_config(cfg)
                 classes = (loaded.short, loaded.tall)
                 assume(max(c.density * math.pi * min(c.v1, c.v2) ** 2 for c in classes) <= 1e3)
-            for command in ("pmf", "toa-sweep", "power", "angles"):
+            out = ["--out", os.path.join(tmp, "x.csv")]
+            for command in (
+                ["pmf", *out],
+                ["toa-sweep", *out],
+                ["power", *out],
+                ["angles", *out],
+                ["validate", "--realizations", "50"],
+            ):
                 err = io.StringIO()
-                with contextlib.redirect_stderr(err):
-                    code = main([command, "--config", cfg, "--out", os.path.join(tmp, "x.csv")])
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = main([*command, "--config", cfg])
                 assert code in (0, 1, 2), (command, code)
                 if code == 2:
                     # the message names the offending field or the unreadable file

@@ -103,7 +103,6 @@ class TestTraceRealization:
         interaction = InteractionModel(mode, 10.0, 0.15, -1.17, 0.0)
         summary = reduce_one(_position_from_distances(200.0, x, y), interaction)
         assert np.array_equal(summary.mpc_count_histogram, [0, 1])
-        assert summary.pooled_tau.mean == pytest.approx(x + y, rel=1e-12)
         return interaction, summary.power_mean
 
     def test_single_reflection_power(self):
@@ -178,21 +177,6 @@ class TestRunExperiment:
         summary = run_experiment(scenario, GTU_REFLECTION, 30_000)
         assert abs(summary.toa_mean - mean_toa(scenario)) < 4.0 * summary.toa_stderr
 
-    def test_pooled_toa_weights_by_realized_counts(self):
-        # pooling all components overweights tall paths relative to the
-        # single-component estimator; its limit has class weights
-        # mu_s : gamma * mu_t
-        from dvrchan.analytics import mean_distance_bs, mean_distance_ms
-        scenario = make_scenario(seed=13)
-        summary = run_experiment(scenario, GTU_REFLECTION, 30_000)
-        mu_s = mean_active_count(scenario, "short")
-        mu_t = mean_active_count(scenario, "tall")
-        tau_s = mean_distance_bs(scenario, "short") + mean_distance_ms(scenario, "short")
-        tau_t = mean_distance_bs(scenario, "tall") + mean_distance_ms(scenario, "tall")
-        pooled_limit = (mu_s * tau_s + 0.22 * mu_t * tau_t) / (mu_s + 0.22 * mu_t) / 299792458.0
-        assert summary.pooled_toa_mean == pytest.approx(pooled_limit, rel=0.02)
-        assert summary.pooled_toa_mean > summary.toa_mean * 1.1
-
     def test_power_matches_closed_form(self):
         scenario = make_scenario(seed=14)
         summary = run_experiment(scenario, GTU_REFLECTION, 20_000)
@@ -215,7 +199,7 @@ class TestRunExperiment:
         parallel = run_experiment(scenario, GTU_REFLECTION, 25_000, workers=3)
         assert serial.n_gate_open == parallel.n_gate_open
         assert np.array_equal(serial.mpc_count_histogram, parallel.mpc_count_histogram)
-        for name in ("tau_open", "tau_closed", "pooled_tau", "power"):
+        for name in ("tau_open", "tau_closed", "power"):
             assert getattr(serial, name) == getattr(parallel, name)
         assert np.array_equal(serial.aod_histogram, parallel.aod_histogram)
         assert np.array_equal(serial.aoa_histogram, parallel.aoa_histogram)
@@ -224,7 +208,7 @@ class TestRunExperiment:
         scenario = make_scenario(seed=17)
         a = run_experiment(scenario, GTU_REFLECTION, 5_000)
         b = run_experiment(scenario, GTU_REFLECTION, 5_000)
-        for name in ("tau_open", "tau_closed", "pooled_tau", "power"):
+        for name in ("tau_open", "tau_closed", "power"):
             assert getattr(a, name) == getattr(b, name)
         assert np.array_equal(a.mpc_count_histogram, b.mpc_count_histogram)
 
@@ -246,7 +230,6 @@ class TestRunExperiment:
 
 _MOMENT_FIELDS = {
     "toa": ("tau_open", "tau_closed"),
-    "pooled_toa": ("pooled_tau",),
     "power": ("power",),
 }
 _ALL_SUBSETS = [
@@ -256,13 +239,20 @@ _ALL_SUBSETS = [
 ]
 
 
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of 1000 realizations, so a run of a few thousand spans several."""
+    monkeypatch.setattr(simulator, "_BLOCK_SIZE", 1_000)
+
+
+@pytest.mark.usefixtures("small_blocks")
 class TestStatisticSets:
     """Every statistic subset draws the same random numbers as a full run."""
 
     @pytest.mark.parametrize("seed", [21, 22])
     def test_requested_fields_match_full_run(self, seed, cache):
         scenario = make_scenario(seed=seed)
-        full = run_experiment(scenario, GTU_REFLECTION, 3_000, block_size=1_000)
+        full = run_experiment(scenario, GTU_REFLECTION, 3_000)
         assert full.statistics == STATISTICS
         for workers, wanted, warm in itertools.product((1, 3), _ALL_SUBSETS, (False, True)):
             # the gamma-free cache starts empty and, when warm, holds a run at another gamma
@@ -270,11 +260,10 @@ class TestStatisticSets:
             if warm:
                 run_experiment(
                     dataclasses.replace(scenario, gamma=0.7), GTU_REFLECTION, 3_000,
-                    workers=workers, block_size=1_000, statistics=wanted,
+                    workers=workers, statistics=wanted,
                 )
             part = run_experiment(
-                scenario, GTU_REFLECTION, 3_000, workers=workers, block_size=1_000,
-                statistics=wanted,
+                scenario, GTU_REFLECTION, 3_000, workers=workers, statistics=wanted
             )
             assert part.statistics == wanted
             assert part.n_gate_open == full.n_gate_open
@@ -340,20 +329,20 @@ def _reference(scenario, n, **kwargs):
     return _toa_fields(run_experiment(scenario, GTU_REFLECTION, n, **kwargs))
 
 
+@pytest.mark.usefixtures("small_blocks")
 class TestToaMemo:
     """ToA-only runs reuse each block's gamma-free ToA record with the same result."""
 
     GAMMAS = (0.0, 0.22, 0.5, 1.0)
 
     def _toa(self, scenario, n=3_000, **kwargs):
-        kwargs.setdefault("block_size", 1_000)
         return _toa_fields(
             run_experiment(scenario, GTU_REFLECTION, n, statistics={"toa"}, **kwargs)
         )
 
     def test_warm_run_draws_nothing(self, cache, monkeypatch):
         scenario = make_scenario(seed=30)
-        expected = _reference(scenario, 3_000, block_size=1_000)
+        expected = _reference(scenario, 3_000)
         self._toa(dataclasses.replace(scenario, gamma=0.0))
         assert cache.cache_info().currsize == 3
         calls = []
@@ -370,7 +359,7 @@ class TestToaMemo:
         base = make_scenario(seed=31)
         for d_prime in (100.0, 400.0, 700.0):
             scenarios = {g: dataclasses.replace(base, d_prime=d_prime, gamma=g) for g in self.GAMMAS}
-            expected = {g: _reference(s, 3_000, block_size=1_000) for g, s in scenarios.items()}
+            expected = {g: _reference(s, 3_000) for g, s in scenarios.items()}
             for order in (self.GAMMAS, self.GAMMAS[::-1]):
                 for gamma in order:
                     assert self._toa(scenarios[gamma], workers=workers) == expected[gamma]
@@ -387,21 +376,22 @@ class TestToaMemo:
         ],
         ids=["d_prime", "short", "tall", "seed", "n", "block_size"],
     )
-    def test_key_tells_runs_apart(self, cache, fields, n, block_size):
+    def test_key_tells_runs_apart(self, cache, monkeypatch, fields, n, block_size):
         base = make_scenario(seed=32)
         self._toa(base)
+        monkeypatch.setattr(simulator, "_BLOCK_SIZE", block_size)
         other = dataclasses.replace(base, gamma=0.5, **fields)
-        expected = _reference(other, n, block_size=block_size)
-        assert self._toa(other, n, block_size=block_size) == expected
+        assert self._toa(other, n) == _reference(other, n)
 
-    def test_concurrent_runs(self, cache):
+    def test_concurrent_runs(self, cache, monkeypatch):
         # More threads than cores, each sweeping gamma at its own d', with a
         # short switch interval: runs share the cache, and more blocks are
         # live than it holds.
+        monkeypatch.setattr(simulator, "_BLOCK_SIZE", 500)
         base = make_scenario(seed=34)
         d_primes = (100.0, 300.0, 500.0, 700.0)
         expected = {
-            (d, g): _reference(dataclasses.replace(base, d_prime=d, gamma=g), 3_000, block_size=500)
+            (d, g): _reference(dataclasses.replace(base, d_prime=d, gamma=g), 3_000)
             for d in d_primes
             for g in self.GAMMAS
         }
@@ -410,7 +400,7 @@ class TestToaMemo:
         def sweep(d_prime):
             for gamma in self.GAMMAS:
                 scenario = dataclasses.replace(base, d_prime=d_prime, gamma=gamma)
-                got[d_prime, gamma] = self._toa(scenario, block_size=500, workers=2)
+                got[d_prime, gamma] = self._toa(scenario, workers=2)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -439,7 +429,7 @@ class TestToaMemo:
         n = 4 * simulator._GAMMA_FREE_BLOCKS * 1_000
         self._toa(dataclasses.replace(scenario, gamma=0.22), n)
         assert cache.cache_info().currsize == simulator._GAMMA_FREE_BLOCKS
-        assert self._toa(scenario, n) == _reference(scenario, n, block_size=1_000)
+        assert self._toa(scenario, n) == _reference(scenario, n)
         # the first blocks stay cached rather than each evicting the oldest
         assert cache.cache_info().hits == simulator._GAMMA_FREE_BLOCKS
 
@@ -497,7 +487,7 @@ def test_work_bounded_by_realizations(gtu, cache, monkeypatch, wanted):
     monkeypatch.setattr(
         pointprocess,
         "sample_uniform_in_lens",
-        lambda spec, rng, size=None: points.append(size) or sample(spec, rng, size=size),
+        lambda spec, rng, size: points.append(size) or sample(spec, rng, size=size),
     )
     n = 500
     summary = run_experiment(scenario, GTU_REFLECTION, n, statistics=wanted)
