@@ -209,18 +209,22 @@ def _check_ks_marginals(scenario, seed, n) -> list[tuple[str, bool, str]]:
     return checks
 
 
-def _lens_holds_link_end(scenario) -> bool:
-    """Whether a class that contributes scatterers has a lens containing the BS or the MS.
+def _infinite_mean_power(scenario, mode: str) -> bool:
+    """Whether a class that contributes scatterers makes the mean power of ``mode`` infinite.
 
-    Scattering-mode amplitudes fall as ``1/(x y)``, so ``E[1/(x y)^2]``, and
-    with it the mean received power, diverges over such a lens.
+    Scattering-mode amplitudes fall as ``1/(x y)``, so ``E[1/(x y)^2]``
+    diverges over a lens containing the BS or the MS.  Reflection amplitudes
+    fall as ``1/(x + y)``, at most ``1/d'``, except at ``d' = 0``: there the
+    BS and the MS coincide inside every lens, ``x = y``, and ``E[1/(2x)^2]``
+    diverges.
     """
     for kind in ("short", "tall"):
         cls = scenario.scatterer_class(kind)
         contributes = mean_active_count(scenario, kind) > 0.0 and (
             kind == "short" or scenario.gamma > 0.0
         )
-        if contributes and scenario.d_prime <= max(cls.v1, cls.v2):
+        holds_end = mode == "scattering" and scenario.d_prime <= max(cls.v1, cls.v2)
+        if contributes and (holds_end or scenario.d_prime == 0.0):
             return True
     return False
 
@@ -228,7 +232,7 @@ def _lens_holds_link_end(scenario) -> bool:
 def _check_power_consistency(cfg, scenario, seed, n, workers) -> list[tuple[str, bool, str]]:
     checks = []
     for mode, interaction in cfg.interactions.items():
-        if mode == "scattering" and _lens_holds_link_end(scenario):
+        if _infinite_mean_power(scenario, mode):
             checks.append(
                 (
                     f"power-dual-{mode}",
@@ -353,6 +357,9 @@ def main(argv=None) -> int:
         return 1
     except (DegenerateScenarioError, EmptyRegionError) as exc:
         print(f"error: degenerate scenario: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        print(f"error: a result overflows float64: {exc}", file=sys.stderr)
         return 1
 
 

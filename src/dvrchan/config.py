@@ -55,8 +55,8 @@ GTU_PRESET = {
 
 # Largest mean number of scatterers of one class per realization that a
 # config may ask for: far above any published density, and small enough that
-# the Poisson sampler's CDF table (pointprocess._poisson_table) stays under
-# ~600 KiB.
+# the Poisson sampler's CDF and guide tables (pointprocess._poisson_table)
+# stay under ~1.2 MiB.
 MAX_MEAN_SCATTERERS = 1e7
 
 # Largest visibility radius, in meters, a config may ask for: the lens area

@@ -152,19 +152,27 @@ def sample_class_points(
 
 
 # Poisson tables are cached per mean: a run asks for the same few means.  At
-# the largest mean a config allows (1e7) a table holds ~76k entries (~600 KiB).
+# the largest mean a config allows (1e7) a table holds ~76k CDF entries and a
+# 2**16-entry guide (~1.1 MiB); at the preset means it is ~17 KiB.
 _POISSON_TABLES = 32
 
 
 @functools.lru_cache(maxsize=_POISSON_TABLES)
-def _poisson_table(mu: float) -> tuple[int, np.ndarray]:
-    """First count and float64 CDF of Poisson(``mu``) over ``mode ± (12 sqrt(mu) + 12)``.
+def _poisson_table(mu: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """First count, float64 CDF and guide table of Poisson(``mu``) over ``mode ± (12 sqrt(mu) + 12)``.
 
     The table starts at ``max(0, mode - 12 sqrt(mu) - 12)``.  Its log
     probabilities are summed from the ratios ``p(k) / p(k - 1) = mu / k``, so
     it holds for any mean, and its CDF is normalised to end at exactly 1.0.
     The mass it leaves out, beyond 12 standard deviations plus 12, is far
-    below 2**-53.  Shared by every caller, so read-only.
+    below 2**-53.
+
+    The guide cuts ``[0, 1)`` into ``m = len(guide)`` equal bins, ``m`` the
+    power of two from 16 bins per CDF entry up, at most 2**16 (Chen & Asau,
+    *AIIE Trans.* 6(2), 1974).  ``guide[j]`` is
+    ``searchsorted(cdf, u, "right")`` for every ``u`` in bin ``j`` when no
+    CDF value lies strictly inside the bin, and -1 when one does.  Shared by
+    every caller, so read-only.
     """
     if mu == 0.0:
         first, cdf = 0, np.ones(1)
@@ -177,8 +185,13 @@ def _poisson_table(mu: float) -> tuple[int, np.ndarray]:
         cdf = np.cumsum(np.exp(log_pmf - log_pmf.max()))
         cdf /= cdf[-1]
         cdf[-1] = 1.0
+    m = min(1 << (16 * len(cdf) - 1).bit_length(), 2**16)
+    edges = np.arange(m + 1) / m
+    guide = np.searchsorted(cdf, edges[:-1], side="right")
+    guide[guide != np.searchsorted(cdf, edges[1:], side="left")] = -1
     cdf.flags.writeable = False
-    return first, cdf
+    guide.flags.writeable = False
+    return first, cdf, guide
 
 
 def _poisson_counts(mu: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -190,9 +203,19 @@ def _poisson_counts(mu: float, n: int, rng: np.random.Generator) -> np.ndarray:
     ``rng.random`` are multiples of 2**-53, so probability mass finer than
     that is never drawn.  Always draws exactly ``n`` uniforms, also at
     ``mu = 0``, where every count is 0.
+
+    The guide table answers a uniform ``u`` from its bin ``floor(u m)``;
+    only uniforms in the bins it marks -1 are searched in the CDF.  ``m`` is
+    a power of two, so ``u m``, its floor and the bin edges ``j / m`` are
+    exact, and every count equals ``searchsorted(cdf, u, "right") + first``.
     """
-    first, cdf = _poisson_table(float(mu))
-    return np.searchsorted(cdf, rng.random(n), side="right") + first
+    first, cdf, guide = _poisson_table(float(mu))
+    u = rng.random(n)
+    counts = guide.take((u * len(guide)).astype(np.intp))
+    marked = np.flatnonzero(counts < 0)
+    counts[marked] = np.searchsorted(cdf, u[marked], side="right")
+    counts += first
+    return counts
 
 
 def sample_block(

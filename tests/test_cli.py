@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -184,12 +185,57 @@ class TestValidateCommand:
         (line,) = [ln for ln in lines if "power-dual-scattering" in ln]
         assert line.startswith("PASS power-dual-scattering: |closed form - simulated|")
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_power_checks_skipped_at_zero_d_prime(self, tmp_path, seed):
+        # the BS and the MS coincide: the reflection amplitude 1/(x + y) is
+        # 1/(2x) and E[1/x^2] over the lens around them diverges
+        cfg = load_config(
+            write_config(
+                tmp_path,
+                {"scenario": {"length_unit": "km", "d_prime": 0.0, "short": {"v1": 1e-17}}},
+            )
+        )
+        scenario = cfg.scenario(seed=seed)
+        checks = cli._check_power_consistency(
+            cfg, scenario, seed, cfg.realizations["power"], 1
+        )
+        assert [name for name, _, _ in checks] == [
+            "power-dual-reflection",
+            "power-dual-scattering",
+        ]
+        for _, ok, detail in checks:
+            assert ok and detail.startswith("skipped: infinite mean")
+
     def test_degenerate_scenario_reports_no_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"scenario": {"d_prime": 0.9, "gamma": 0.0}})
         assert main(["validate", "--config", cfg]) == 0
         out = capsys.readouterr().out
         assert "no-path condition reported" in out
         assert "FAIL" not in out
+
+
+class TestGoldenOutput:
+    """Seeded preset outputs, pinned by the md5 of each CSV without its version line.
+
+    A change that alters outputs on purpose re-pins these digests.
+    """
+
+    DIGESTS = {
+        ("toa-sweep", "20000"): "8fb63bb4454898514d289ad82dc43ef6",
+        ("pmf", "20000"): "fd40677ae2f82f1033b5968db47357ec",
+        ("power", "2000"): "c954033e14fdf8ba22c41821000ead50",
+        ("angles", "20000"): "1035a16fc7bb1791e07f12ac922a6067",
+    }
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("command, realizations", list(DIGESTS))
+    def test_csv_digest(self, tmp_path, command, realizations, workers):
+        out = tmp_path / "out.csv"
+        argv = [command, "--realizations", realizations, "--workers", workers]
+        assert main(argv + ["--out", str(out)]) == 0
+        lines = out.read_bytes().splitlines(keepends=True)
+        kept = b"".join(ln for ln in lines if not ln.startswith(b"# version="))
+        assert hashlib.md5(kept).hexdigest() == self.DIGESTS[command, realizations]
 
 
 class TestImportCost:
@@ -473,6 +519,13 @@ class TestConfigFuzz:
     @example(
         overrides={
             "scenario": {"length_unit": "m", "d_prime": 200, "tall": {"v1": 4100, "v2": 1e-14}},
+            "realizations": _FEW,
+        }
+    )
+    # a coefficient whose closed-form power overflows float64
+    @example(
+        overrides={
+            "interaction": {"scattering": {"coeff_mean": 2.027250791375219e158}},
             "realizations": _FEW,
         }
     )

@@ -226,7 +226,7 @@ class TestPoissonInversion:
 
     @pytest.mark.parametrize("mu", MEANS)
     def test_table_matches_cdf(self, mu):
-        first, cdf = _poisson_table(mu)
+        first, cdf, _ = _poisson_table(mu)
         assert len(cdf) <= 24.0 * math.sqrt(mu) + 27.0
         assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
         last = first + len(cdf) - 1
@@ -239,7 +239,7 @@ class TestPoissonInversion:
     @pytest.mark.parametrize("mu", MEANS)
     def test_chi_square(self, mu):
         counts = _poisson_counts(mu, 100_000, np.random.default_rng(2027))
-        first, cdf = _poisson_table(mu)
+        first, cdf, _ = _poisson_table(mu)
         assert counts.min() >= first and counts.max() < first + len(cdf)
         observed = np.bincount(counts - first, minlength=len(cdf))
         expected = stats.poisson.pmf(np.arange(first, first + len(cdf)), mu) * len(counts)
@@ -251,6 +251,39 @@ class TestPoissonInversion:
         exp = np.add.reduceat(expected, edges[:-1])
         chi2 = float(np.sum((obs - exp) ** 2 / exp))
         assert stats.chi2.sf(chi2, max(len(obs) - 1, 1)) > 0.01
+
+    @pytest.mark.parametrize("mu", (0.0,) + MEANS + (1e7,))
+    def test_guide_matches_binary_search(self, mu):
+        first, cdf, guide = _poisson_table(mu)
+        m = len(guide)
+        assert m & (m - 1) == 0 and not guide.flags.writeable
+        # every bin edge, every CDF value below 1 with its neighbours, and
+        # the extreme uniforms
+        below_one = cdf[cdf < 1.0]
+        u = np.concatenate(
+            (
+                np.arange(m) / m,
+                below_one,
+                np.nextafter(below_one, 0.0),
+                np.nextafter(below_one, 1.0),
+                [0.0, 1.0 - 2.0**-53],
+            )
+        )
+        u = u[u < 1.0]
+
+        class Fixed:
+            def random(self, n):
+                assert n == len(u)
+                return u.copy()
+
+        counts = _poisson_counts(mu, len(u), Fixed())
+        expected = np.searchsorted(cdf, u, side="right") + first
+        assert counts.dtype == expected.dtype == np.intp
+        assert np.array_equal(counts, expected)
+
+    def test_table_size_at_largest_mean(self):
+        _, cdf, guide = _poisson_table(1e7)
+        assert cdf.nbytes + guide.nbytes <= 1.2 * 2**20
 
     @pytest.mark.parametrize("mu", [0.0, 20.0])
     def test_one_uniform_per_count(self, mu):
