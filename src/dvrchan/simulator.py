@@ -295,15 +295,16 @@ def _reduce_block(
     )
 
 
-# The gamma-free arrays of a ToA-only run are cached for this many blocks: 16
-# of 8192 realizations at 32 bytes each (~4 MiB), more than a preset toa-sweep
-# run's 13.  Later blocks are drawn afresh.
+# A ToA-only run draws the gamma-free arrays of its first _GAMMA_FREE_BLOCKS
+# blocks as one head: 16 blocks of 8192 realizations at 32 bytes each
+# (~4 MiB), more than a preset toa-sweep run's 13.  Later blocks are drawn
+# afresh.  Only the last head drawn is kept, as the pair (key, blocks).
 _GAMMA_FREE_BLOCKS = 16
+_head = None
 
 
-@functools.lru_cache(maxsize=_GAMMA_FREE_BLOCKS)
 def _gamma_free(
-    scenario0: Scenario, seed: int, index: int, block_len: int
+    scenario0: Scenario, seed: int, n_realizations: int, block_size: int, index: int
 ) -> tuple[RealizationBlock, tuple[np.ndarray, np.ndarray]]:
     """Block ``index`` of a run without positions, and its ToA pick (:func:`_toa_pick`).
 
@@ -312,9 +313,10 @@ def _gamma_free(
     :func:`_reduce_block` reads of it: the gate uniforms and the short and
     ungated tall counts, as int32 (a config's mean count per class is at
     most 1e7), 32 bytes per realization with the pick.  Shared by every later
-    call with the same key, so every array is read-only.
+    run with the same head, so every array is read-only.
     """
     rng = substream(seed, index)
+    block_len = min(block_size, n_realizations - index * block_size)
     block = sample_block(scenario0, block_len, rng, positions=False)
     pick = _toa_pick(block, scenario0, rng)
     n_short, tall_counts = block.n_short.astype(np.int32), block.tall_counts.astype(np.int32)
@@ -324,21 +326,47 @@ def _gamma_free(
     return block, pick
 
 
+def _toa_head(
+    scenario0: Scenario,
+    seed: int,
+    n_realizations: int,
+    block_size: int,
+    pool: ThreadPoolExecutor | None,
+) -> tuple[tuple[RealizationBlock, tuple[np.ndarray, np.ndarray]], ...]:
+    """The :func:`_gamma_free` blocks ``0, 1, ...`` of a run, at most ``_GAMMA_FREE_BLOCKS``.
+
+    Returns the kept head when its key matches, else frees it and draws the
+    next, on ``pool`` when one is given.  The global is read once, so a
+    thread never compares one head's key and returns another's blocks.
+    """
+    global _head
+    key = (scenario0, seed, n_realizations, block_size)
+    head = _head
+    if head is not None and head[0] == key:
+        return head[1]
+    head = _head = None
+    draw = functools.partial(_gamma_free, *key)
+    n_head = min(_GAMMA_FREE_BLOCKS, -(-n_realizations // block_size))
+    blocks = tuple((map if pool is None else pool.map)(draw, range(n_head)))
+    _head = key, blocks
+    return blocks
+
+
 def _block_length(scenario: Scenario) -> int:
     mu = mean_active_count(scenario, "short") + mean_active_count(scenario, "tall")
     return max(1, min(_BLOCK_SIZE, _BLOCK_POINTS // max(1, math.ceil(mu))))
 
 
 def _in_order(
-    pool: ThreadPoolExecutor, job: Callable[[int], RunSummary], n: int, window: int
+    pool: ThreadPoolExecutor, job: Callable[[int], RunSummary], indices: range, window: int
 ) -> Iterator[RunSummary]:
-    """Yield ``job(0), ..., job(n - 1)``, run on ``pool``, in order.
+    """Yield ``job(index)`` for each of ``indices``, run on ``pool``, in order.
 
     At most ``window`` jobs are submitted and not yet yielded, so a run of
     many blocks holds few results at once.
     """
     pending = collections.deque()
-    for index in range(n):
+    for index in indices:
         pending.append(pool.submit(job, index))
         if len(pending) == window:
             yield pending.popleft().result()
@@ -366,11 +394,15 @@ def run_experiment(
     the optional statistics to compute; what a block draws for one statistic
     does not depend on the others named, so each computed statistic equals
     that of a full run.  A run computing ``{"toa"}`` or nothing draws no
-    scatterer position, and one computing ``{"toa"}`` alone reuses each
-    block's gamma-free arrays from an earlier such run at another ``gamma``
-    (see :func:`_gamma_free`) through the same reducer, with the same result.
-    One worker runs the blocks inline, one after another; more run on a
-    thread pool with at most ``2 * workers`` blocks in flight at once.
+    scatterer position.  One computing ``{"toa"}`` alone takes the gamma-free
+    arrays of its first ``_GAMMA_FREE_BLOCKS`` blocks as one head (see
+    :func:`_toa_head`), kept from the last such run when it had the same
+    scenario apart from ``gamma``, seed, ``n_realizations`` and block length,
+    and reduces them on the calling thread through the same reducer, with
+    the same result.  The pool, if any, only draws a head that is not kept.
+    One worker runs the other blocks inline, one after another; more run
+    them on a thread pool with at most ``2 * workers`` blocks in flight at
+    once.
     """
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
@@ -381,20 +413,25 @@ def run_experiment(
         seed = scenario.seed
     block_size = _block_length(scenario)
     n_blocks = -(-n_realizations // block_size)
-    cached = _GAMMA_FREE_BLOCKS if statistics == {"toa"} else 0
     positions = not statistics <= {"toa"}
     scenario0 = dataclasses.replace(scenario, gamma=0.0, seed=0)
 
     def job(index: int) -> RunSummary:
         block_len = min(block_size, n_realizations - index * block_size)
-        if index < cached:
-            block, pick = _gamma_free(scenario0, seed, index, block_len)
-            return _reduce_block(block, scenario, interaction, None, statistics, pick)
         rng = substream(seed, index)
         block = sample_block(scenario, block_len, rng, positions=positions)
         return _reduce_block(block, scenario, interaction, rng, statistics)
 
+    def summaries(pool: ThreadPoolExecutor | None) -> Iterator[RunSummary]:
+        head = ()
+        if statistics == {"toa"}:
+            head = _toa_head(scenario0, seed, n_realizations, block_size, pool)
+        for block, pick in head:
+            yield _reduce_block(block, scenario, interaction, None, statistics, pick)
+        rest = range(len(head), n_blocks)
+        yield from map(job, rest) if pool is None else _in_order(pool, job, rest, 2 * workers)
+
     if workers == 1:
-        return functools.reduce(RunSummary.merge, map(job, range(n_blocks)))
+        return functools.reduce(RunSummary.merge, summaries(None))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return functools.reduce(RunSummary.merge, _in_order(pool, job, n_blocks, 2 * workers))
+        return functools.reduce(RunSummary.merge, summaries(pool))

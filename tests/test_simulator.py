@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -316,12 +317,24 @@ def _toa_fields(summary):
     return summary.n_gate_open, hist, summary.tau_open, summary.tau_closed
 
 
+class _Head:
+    """The gamma-free head a ToA-only run keeps (``simulator._toa_head``)."""
+
+    @staticmethod
+    def cache_clear():
+        simulator._head = None
+
+    @staticmethod
+    def blocks():
+        return simulator._head[1]
+
+
 @pytest.fixture
 def cache():
-    """The gamma-free cache, emptied before and after the test."""
-    simulator._gamma_free.cache_clear()
-    yield simulator._gamma_free
-    simulator._gamma_free.cache_clear()
+    """The kept gamma-free head, dropped before and after the test."""
+    _Head.cache_clear()
+    yield _Head
+    _Head.cache_clear()
 
 
 def _reference(scenario, n, **kwargs):
@@ -331,7 +344,7 @@ def _reference(scenario, n, **kwargs):
 
 @pytest.mark.usefixtures("small_blocks")
 class TestToaMemo:
-    """ToA-only runs reuse each block's gamma-free ToA record with the same result."""
+    """ToA-only runs reuse the gamma-free head of the last such run with the same result."""
 
     GAMMAS = (0.0, 0.22, 0.5, 1.0)
 
@@ -344,7 +357,7 @@ class TestToaMemo:
         scenario = make_scenario(seed=30)
         expected = _reference(scenario, 3_000)
         self._toa(dataclasses.replace(scenario, gamma=0.0))
-        assert cache.cache_info().currsize == 3
+        assert len(cache.blocks()) == 3
         calls = []
         for module, name in ((simulator, "sample_block"), (pointprocess, "sample_uniform_in_lens")):
             original = getattr(module, name)
@@ -415,10 +428,10 @@ class TestToaMemo:
             sys.setswitchinterval(interval)
         assert got == expected
 
-    def test_capacity(self, cache):
-        # The preset's toa-sweep runs (1e5 realizations, 13 blocks) fit the cache.
+    def test_capacity(self, cache, monkeypatch):
+        # The preset's toa-sweep runs (1e5 realizations, 13 blocks) fit the head.
         assert simulator._GAMMA_FREE_BLOCKS >= 13
-        # a run of four times the cache's capacity: blocks past it are sampled whole
+        # a run of four times the head's length: blocks past it are sampled whole
         scenario = Scenario(
             d_prime=200.0,
             short=ScattererClass("short", 500.0, 300.0, 1e-5),
@@ -427,25 +440,81 @@ class TestToaMemo:
             seed=35,
         )
         n = 4 * simulator._GAMMA_FREE_BLOCKS * 1_000
+        expected = _reference(scenario, n)
         self._toa(dataclasses.replace(scenario, gamma=0.22), n)
-        assert cache.cache_info().currsize == simulator._GAMMA_FREE_BLOCKS
-        assert self._toa(scenario, n) == _reference(scenario, n)
-        # the first blocks stay cached rather than each evicting the oldest
-        assert cache.cache_info().hits == simulator._GAMMA_FREE_BLOCKS
+        head = cache.blocks()
+        assert [len(block) for block, _ in head] == [1_000] * simulator._GAMMA_FREE_BLOCKS
+        drawn = []
+        sample = simulator.sample_block
+        monkeypatch.setattr(
+            simulator,
+            "sample_block",
+            lambda s, size, rng, **k: drawn.append((size, k)) or sample(s, size, rng, **k),
+        )
+        assert self._toa(scenario, n) == expected
+        # the second gamma reuses the head and draws every later block afresh
+        assert cache.blocks() is head
+        assert drawn == [(1_000, {"positions": False})] * 3 * simulator._GAMMA_FREE_BLOCKS
 
     def test_cached_records_read_only(self, cache):
-        # A cache entry is shared by every later run and thread, and holds
-        # 32 bytes per realization: the gate, two int32 counts, the pick.
+        # The head is shared by every later run and thread, and holds 32
+        # bytes per realization: the gate, two int32 counts, the pick.
         scenario = make_scenario(seed=36)
         self._toa(scenario)
-        block, pick = cache(dataclasses.replace(scenario, gamma=0.0, seed=0), 36, 0, 1_000)
-        assert cache.cache_info().hits == 1
-        assert block.u is block.n_tall is block.short_points is block.tall_points is None
-        arrays = (block.gate, block.n_short, block.tall_counts, *pick)
-        assert sum(array.nbytes for array in arrays) <= 32 * len(block)
-        for array in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 1
+        head = cache.blocks()
+        assert len(head) == 3
+        for block, pick in head:
+            assert block.u is block.n_tall is block.short_points is block.tall_points is None
+            arrays = (block.gate, block.n_short, block.tall_counts, *pick)
+            assert sum(array.nbytes for array in arrays) <= 32 * len(block)
+            for array in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1
+
+    def test_pool_only_draws(self, cache, monkeypatch):
+        # Two workers draw a head that is not kept on the pool, one job per
+        # block, and reduce every head block on the calling thread.
+        submitted = []
+
+        class Counting(simulator.ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append(args)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "ThreadPoolExecutor", Counting)
+        cold, warm = (make_scenario(gamma=g, seed=37) for g in (0.22, 0.5))
+        expected = {s: self._toa(s) for s in (cold, warm)}
+        cache.cache_clear()
+        assert self._toa(cold, workers=2) == expected[cold]
+        assert submitted == [(0,), (1,), (2,)]
+        submitted.clear()
+        assert self._toa(warm, workers=2) == expected[warm]
+        assert submitted == []
+
+    def test_one_head_alive(self, cache, monkeypatch):
+        # The kept head is freed before the next one is drawn.
+        refs = []
+        pick = simulator._toa_pick
+
+        def watched_pick(*args):
+            closed, open_ = pick(*args)
+            refs.append(weakref.ref(closed))
+            return closed, open_
+
+        base = make_scenario(seed=38)
+        monkeypatch.setattr(simulator, "_toa_pick", watched_pick)
+        self._toa(dataclasses.replace(base, d_prime=100.0))
+        monkeypatch.setattr(simulator, "_toa_pick", pick)
+        assert len(refs) == 3 and all(ref() is not None for ref in refs)
+        alive = []
+        sample = simulator.sample_block
+        monkeypatch.setattr(
+            simulator,
+            "sample_block",
+            lambda *a, **k: alive.append(sum(ref() is not None for ref in refs)) or sample(*a, **k),
+        )
+        self._toa(dataclasses.replace(base, d_prime=400.0))
+        assert alive[0] == 0
 
 
 def test_block_memory_bounded(gtu):
