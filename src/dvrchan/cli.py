@@ -72,10 +72,8 @@ def _pmf_support(scenario) -> np.ndarray:
 
 def cmd_pmf(cfg: RunConfig, seed: int, n: int, workers: int, out: str) -> int:
     scenario = cfg.scenario(seed=seed)
-    mode = next(iter(cfg.interactions))
-    summary = run_experiment(
-        scenario, cfg.interactions[mode], n, seed, workers, statistics=set()
-    )
+    interaction = next(iter(cfg.interactions.values()))
+    summary = run_experiment(scenario, interaction, n, seed, workers, statistics=set())
     support = _pmf_support(scenario)
     analytic = mpc_pmf(support, scenario)
     hist = summary.empirical_pmf
@@ -92,7 +90,7 @@ def cmd_pmf(cfg: RunConfig, seed: int, n: int, workers: int, out: str) -> int:
 
 
 def cmd_toa_sweep(cfg: RunConfig, seed: int, n: int, workers: int, out: str) -> int:
-    mode = next(iter(cfg.interactions))
+    interaction = next(iter(cfg.interactions.values()))
     rows = []
     for d_prime in cfg.toa_d_prime:
         for gamma in cfg.toa_gamma:
@@ -103,9 +101,7 @@ def cmd_toa_sweep(cfg: RunConfig, seed: int, n: int, workers: int, out: str) -> 
                 # No-path grid point: neither estimator is defined.
                 rows.append((d_prime, gamma, math.nan, math.nan, math.nan))
                 continue
-            summary = run_experiment(
-                scenario, cfg.interactions[mode], n, seed, workers, statistics={"toa"}
-            )
+            summary = run_experiment(scenario, interaction, n, seed, workers, statistics={"toa"})
             rows.append(
                 (
                     d_prime,
@@ -120,20 +116,28 @@ def cmd_toa_sweep(cfg: RunConfig, seed: int, n: int, workers: int, out: str) -> 
     return 0
 
 
+def _mean_powers(scenario, interaction, seed: int, n: int, workers: int, stream: int):
+    """Closed-form and simulated mean power in W, each followed by its stderr; the
+    closed form draws its phasors from ``substream(seed, stream)``."""
+    theory, theory_se = mean_received_power(
+        scenario, interaction, n_mc=max(10 * n, 10_000), rng=substream(seed, stream)
+    )
+    summary = run_experiment(scenario, interaction, n, seed, workers, statistics={"power"})
+    return theory, theory_se, summary.power_mean, summary.power_stderr
+
+
 def cmd_power(cfg: RunConfig, seed: int, n: int, workers: int, out: str) -> int:
     rows = []
     for d_prime in cfg.power_d_prime:
         scenario = cfg.scenario(d_prime=d_prime, seed=seed)
         for mode, interaction in cfg.interactions.items():
-            theory, theory_se = mean_received_power(
-                scenario, interaction, n_mc=max(10 * n, 10_000), rng=substream(seed, 0)
-            )
-            summary = run_experiment(
-                scenario, interaction, n, seed, workers, statistics={"power"}
-            )
-            rows.append(
-                (d_prime, mode, theory, theory_se, summary.power_mean, summary.power_stderr)
-            )
+            # A run has at most MAX_REALIZATIONS blocks, numbered from 0: no
+            # block of the simulation draws from the closed form's stream.
+            powers = _mean_powers(scenario, interaction, seed, n, workers, MAX_REALIZATIONS)
+            # Every cell is finite but a stderr of fewer than two samples.
+            if not all(map(math.isfinite, powers[: 3 if n < 2 else 4])):
+                raise OverflowError(f"mean power of {mode} at d' = {d_prime:g} m")
+            rows.append((d_prime, mode, *powers))
     header = (
         "d_prime_m",
         "mode",
@@ -148,10 +152,8 @@ def cmd_power(cfg: RunConfig, seed: int, n: int, workers: int, out: str) -> int:
 
 def cmd_angles(cfg: RunConfig, seed: int, n: int, workers: int, out: str) -> int:
     scenario = cfg.scenario(seed=seed)
-    mode = next(iter(cfg.interactions))
-    summary = run_experiment(
-        scenario, cfg.interactions[mode], n, seed, workers, statistics={"angles"}
-    )
+    interaction = next(iter(cfg.interactions.values()))
+    summary = run_experiment(scenario, interaction, n, seed, workers, statistics={"angles"})
     centers = 0.5 * (ANGLE_BIN_EDGES[:-1] + ANGLE_BIN_EDGES[1:])
     rows = [
         (float(c), float(a), float(b))
@@ -241,14 +243,9 @@ def _check_power_consistency(cfg, scenario, seed, n, workers) -> list[tuple[str,
                 )
             )
             continue
-        theory, theory_se = mean_received_power(
-            scenario, interaction, n_mc=max(10 * n, 10_000), rng=substream(seed, 2000)
-        )
-        summary = run_experiment(
-            scenario, interaction, n, seed, workers, statistics={"power"}
-        )
-        diff = abs(theory - summary.power_mean)
-        bound = 3.0 * math.hypot(theory_se, summary.power_stderr)
+        theory, theory_se, mc, mc_se = _mean_powers(scenario, interaction, seed, n, workers, 2000)
+        diff = abs(theory - mc)
+        bound = 3.0 * math.hypot(theory_se, mc_se)
         checks.append(
             (
                 f"power-dual-{mode}",
@@ -301,19 +298,24 @@ def _int_in(minimum: int, maximum: int | None = None):
     return integer
 
 
+# Each command's handler, ``realizations`` key and help line.  ``validate``
+# has no key: it writes no CSV, and ``--realizations`` is its KS sample size.
+_COMMANDS = {
+    "pmf": (cmd_pmf, "pmf", "multipath-count PMF, analytic vs empirical"),
+    "toa-sweep": (cmd_toa_sweep, "toa", "mean time of arrival over a distance/gamma grid"),
+    "power": (cmd_power, "power", "mean received power, closed form vs direct simulation"),
+    "angles": (cmd_angles, "angles", "departure/arrival angle histograms"),
+    "validate": (cmd_validate, None, "run the invariant suite and report pass/fail"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dvrchan",
         description="Dual-visibility-region channel model: analytics and Monte Carlo.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("pmf", "multipath-count PMF, analytic vs empirical"),
-        ("toa-sweep", "mean time of arrival over a distance/gamma grid"),
-        ("power", "mean received power, closed form vs direct simulation"),
-        ("angles", "departure/arrival angle histograms"),
-        ("validate", "run the invariant suite and report pass/fail"),
-    ):
+    for name, (_, _, helptext) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", default=None, help="JSON config (default: GTU preset)")
         p.add_argument("--out", default=None, help="output CSV path")
@@ -327,9 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DEFAULT_REALIZATION_KEY = {"pmf": "pmf", "toa-sweep": "toa", "power": "power", "angles": "angles"}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -338,19 +337,14 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     seed = cfg.seed if args.seed is None else args.seed
-    if args.command != "validate" and args.out is None:
+    handler, key, _ = _COMMANDS[args.command]
+    if key is not None and args.out is None:
         print("error: --out is required for this command", file=sys.stderr)
         return 2
     try:
-        if args.command == "validate":
-            return cmd_validate(cfg, seed, args.realizations, args.workers)
-        n = args.realizations or cfg.realizations[_DEFAULT_REALIZATION_KEY[args.command]]
-        handler = {
-            "pmf": cmd_pmf,
-            "toa-sweep": cmd_toa_sweep,
-            "power": cmd_power,
-            "angles": cmd_angles,
-        }[args.command]
+        if key is None:
+            return handler(cfg, seed, args.realizations, args.workers)
+        n = args.realizations or cfg.realizations[key]
         return handler(cfg, seed, n, args.workers, args.out)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)

@@ -69,22 +69,27 @@ MAX_RADIUS_M = 1e75
 MAX_REALIZATIONS = 10**8
 
 
-def _check_keys(data: dict, schema: dict, path: str = ""):
+def _over_preset(data: dict, preset: dict, path: str = "") -> dict:
+    """``data`` laid field by field over ``preset``, so every preset field is present.
+
+    Walks ``data`` depth first in file order and rejects the first key the
+    preset lacks, or a non-object where the preset has an object.
+    """
+    merged = dict(preset)
     for key, value in data.items():
         here = f"{path}.{key}" if path else key
-        if key not in schema:
+        if key not in preset:
             raise ConfigError(here, "unknown configuration key")
-        sub = schema[key]
-        if isinstance(sub, dict):
+        if isinstance(preset[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(here, "expected an object")
-            _check_keys(value, sub, here)
+            value = _over_preset(value, preset[key], here)
+        merged[key] = value
+    return merged
 
 
 def _number(data: dict, path: str, key: str, minimum=None, maximum=None, scale=1.0) -> float:
     """``data[key]`` times ``scale`` (a unit factor); bounds apply before scaling."""
-    if key not in data:
-        raise ConfigError(f"{path}.{key}", "missing required field")
     value = data[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key}", f"expected a number, got {value!r}")
@@ -107,18 +112,6 @@ def _integer(value, field: str, minimum: int, maximum: int | None = None) -> int
     if maximum is not None and value > maximum:
         raise ConfigError(field, f"must be <= {maximum}, got {value!r}")
     return value
-
-
-def _merge_defaults(data: dict, defaults: dict) -> dict:
-    merged = {}
-    for key, default in defaults.items():
-        if key in data and isinstance(default, dict) and isinstance(data[key], dict):
-            merged[key] = _merge_defaults(data[key], default)
-        elif key in data:
-            merged[key] = data[key]
-        else:
-            merged[key] = default
-    return merged
 
 
 def config_hash(raw: dict) -> str:
@@ -156,6 +149,17 @@ class RunConfig:
         return config_hash(self.raw)
 
 
+def _list(sweep: dict, key: str, maximum=None, scale=1.0) -> tuple:
+    """``sweep[key]``, a non-empty list of numbers >= 0, as a tuple times ``scale``."""
+    values = sweep[key]
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"sweep.{key}", "must be a non-empty list")
+    return tuple(
+        _number({"v": v}, f"sweep.{key}", "v", minimum=0.0, maximum=maximum, scale=scale)
+        for v in values
+    )
+
+
 def _load_class(kind: str, data: dict, path: str, unit: float) -> ScattererClass:
     v1 = _number(data, path, "v1", scale=unit)
     v2 = _number(data, path, "v2", scale=unit)
@@ -187,17 +191,15 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     File values override the preset field by field, so partial configs are
     allowed; unknown keys are rejected.
     """
-    if path is None:
-        raw = json.loads(json.dumps(GTU_PRESET))
-    else:
+    raw = {}
+    if path is not None:
         try:
             raw = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(str(path), f"cannot read config: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(str(path), "top-level config must be an object")
-        _check_keys(raw, GTU_PRESET)
-        raw = _merge_defaults(raw, GTU_PRESET)
+    raw = _over_preset(raw, GTU_PRESET)
 
     scen = raw["scenario"]
     unit_name = scen.get("length_unit")
@@ -230,23 +232,7 @@ def load_config(path: str | Path | None = None) -> RunConfig:
         )
 
     sweep = raw["sweep"]
-
-    def _length_list(key):
-        values = sweep[key]
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"sweep.{key}", "must be a non-empty list")
-        return tuple(
-            _number({"v": v}, f"sweep.{key}", "v", minimum=0.0, scale=unit) for v in values
-        )
-
-    toa_gamma = sweep["toa_gamma"]
-    if not isinstance(toa_gamma, list) or not toa_gamma:
-        raise ConfigError("sweep.toa_gamma", "must be a non-empty list")
-    toa_gamma = tuple(
-        _number({"v": v}, "sweep.toa_gamma", "v", minimum=0.0, maximum=1.0)
-        for v in toa_gamma
-    )
-
+    toa_gamma = _list(sweep, "toa_gamma", maximum=1.0)
     reals = raw["realizations"]
     realizations = {
         key: _integer(reals[key], f"realizations.{key}", 1, MAX_REALIZATIONS) for key in reals
@@ -260,9 +246,9 @@ def load_config(path: str | Path | None = None) -> RunConfig:
         short=short,
         tall=tall,
         interactions=interactions,
-        toa_d_prime=_length_list("toa_d_prime"),
+        toa_d_prime=_list(sweep, "toa_d_prime", scale=unit),
         toa_gamma=toa_gamma,
-        power_d_prime=_length_list("power_d_prime"),
+        power_d_prime=_list(sweep, "power_d_prime", scale=unit),
         realizations=realizations,
         seed=seed,
     )

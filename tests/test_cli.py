@@ -20,6 +20,7 @@ import dvrchan
 from dvrchan import cli
 from dvrchan.cli import main
 from dvrchan.config import ConfigError, load_config
+from dvrchan.pointprocess import substream
 
 GTU_MU_SHORT = 19.98995405479186
 
@@ -136,6 +137,21 @@ class TestPowerCommand:
             assert theory > 0.0 and mc > 0.0
             assert abs(theory - mc) < 5.0 * math.hypot(theory_se, mc_se)
 
+    def test_closed_form_draws_no_block_stream(self, tmp_path, monkeypatch):
+        # the closed form is checked against the simulation: it must not
+        # reuse the draws of the simulation's block 0
+        seen = []
+
+        def spy(scenario, interaction, n_mc, rng):
+            seen.append(rng.random(8))
+            return 1.0, 0.1
+
+        monkeypatch.setattr(cli, "mean_received_power", spy)
+        argv = ["power", "--realizations", "50", "--seed", "7"]
+        assert main(argv + ["--out", str(tmp_path / "power.csv")]) == 0
+        block0 = substream(7, 0).random(8)
+        assert seen and not any(np.array_equal(draws, block0) for draws in seen)
+
 
 class TestAnglesCommand:
     def test_densities(self, tmp_path):
@@ -223,7 +239,7 @@ class TestGoldenOutput:
     DIGESTS = {
         ("toa-sweep", "20000"): "8fb63bb4454898514d289ad82dc43ef6",
         ("pmf", "20000"): "fd40677ae2f82f1033b5968db47357ec",
-        ("power", "2000"): "c954033e14fdf8ba22c41821000ead50",
+        ("power", "2000"): "ac21ea870762c92caec0918a819a1ccc",
         ("angles", "20000"): "1035a16fc7bb1791e07f12ac922a6067",
     }
 
@@ -306,6 +322,13 @@ class TestErrorHandling:
                 "scenario.short.v1",
             ),
             ({"scenario": {"tall": {"v2": 1.0000000001e72}}}, "scenario.tall.v2"),
+            ({"scenario": 5}, "scenario"),
+            ({"scenario": {"short": []}}, "scenario.short"),
+            ({"sweep": {"toa_gamma": []}}, "sweep.toa_gamma"),
+            ({"sweep": {"toa_d_prime": "x"}}, "sweep.toa_d_prime"),
+            ({"scenario": {"length_unit": "mi"}}, "scenario.length_unit"),
+            # the first bad key depth first, in file order
+            ({"scenario": {"short": {"v9": 1}, "gamm": 1}}, "scenario.short.v9"),
         ],
         ids=[
             "gamma-out-of-range",
@@ -324,6 +347,12 @@ class TestErrorHandling:
             "radius-above-maximum-at-density-0",
             "radii-and-d_prime-overflow-lens-area",
             "radius-just-above-maximum-in-km",
+            "section-not-an-object",
+            "class-not-an-object",
+            "gamma-list-empty",
+            "length-list-not-a-list",
+            "length-unit-unknown",
+            "nested-unknown-key-before-sibling",
         ],
     )
     def test_invalid_gamma_names_field(self, tmp_path, capsys, overrides, field):
@@ -529,6 +558,17 @@ class TestConfigFuzz:
             "realizations": _FEW,
         }
     )
+    # powers past ~1e154 W overflow the simulated stderr: exit 1, write no inf
+    @example(overrides={"interaction": {"transmit_power_w": 1e200}, "realizations": _FEW})
+    @example(
+        overrides={
+            "interaction": {
+                "reflection": {"coeff_mean": 1e100},
+                "scattering": {"coeff_mean": 1e100},
+            },
+            "realizations": _FEW,
+        }
+    )
     def test_every_command_exits_cleanly(self, overrides):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = write_config(Path(tmp), overrides)
@@ -552,3 +592,9 @@ class TestConfigFuzz:
                 if code == 2:
                     # the message names the offending field or the unreadable file
                     assert err.getvalue().startswith("config error: "), err.getvalue()
+                if command[0] == "power" and code == 0:
+                    # every cell is finite but a stderr of fewer than two samples
+                    few = overrides["realizations"]["power"] < 2
+                    for row in read_csv(Path(tmp) / "x.csv")[2]:
+                        cells = [float(v) for v in row[2:]]
+                        assert all(map(math.isfinite, cells[: 3 if few else 4])), row
