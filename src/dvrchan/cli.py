@@ -116,14 +116,23 @@ def cmd_toa_sweep(cfg: RunConfig, seed: int, n: int, workers: int, out: str) -> 
     return 0
 
 
-def _mean_powers(scenario, interaction, seed: int, n: int, workers: int, stream: int):
-    """Closed-form and simulated mean power in W, each followed by its stderr; the
-    closed form draws its phasors from ``substream(seed, stream)``."""
+def _mean_powers(scenario, interaction, seed: int, n: int, workers: int):
+    """Closed-form and simulated mean power in W, each followed by its stderr.
+
+    The closed form draws its phasors from ``substream(seed,
+    MAX_REALIZATIONS)``: a run has at most ``MAX_REALIZATIONS`` blocks,
+    numbered from 0, so no block of the simulation draws from it.  Raises
+    ``OverflowError`` unless every value is finite but a stderr of fewer
+    than two samples.
+    """
     theory, theory_se = mean_received_power(
-        scenario, interaction, n_mc=max(10 * n, 10_000), rng=substream(seed, stream)
+        scenario, interaction, n_mc=max(10 * n, 10_000), rng=substream(seed, MAX_REALIZATIONS)
     )
     summary = run_experiment(scenario, interaction, n, seed, workers, statistics={"power"})
-    return theory, theory_se, summary.power_mean, summary.power_stderr
+    powers = theory, theory_se, summary.power_mean, summary.power_stderr
+    if not all(map(math.isfinite, powers[: 3 if n < 2 else 4])):
+        raise OverflowError(f"mean power of {interaction.mode} at d' = {scenario.d_prime:g} m")
+    return powers
 
 
 def cmd_power(cfg: RunConfig, seed: int, n: int, workers: int, out: str) -> int:
@@ -131,13 +140,7 @@ def cmd_power(cfg: RunConfig, seed: int, n: int, workers: int, out: str) -> int:
     for d_prime in cfg.power_d_prime:
         scenario = cfg.scenario(d_prime=d_prime, seed=seed)
         for mode, interaction in cfg.interactions.items():
-            # A run has at most MAX_REALIZATIONS blocks, numbered from 0: no
-            # block of the simulation draws from the closed form's stream.
-            powers = _mean_powers(scenario, interaction, seed, n, workers, MAX_REALIZATIONS)
-            # Every cell is finite but a stderr of fewer than two samples.
-            if not all(map(math.isfinite, powers[: 3 if n < 2 else 4])):
-                raise OverflowError(f"mean power of {mode} at d' = {d_prime:g} m")
-            rows.append((d_prime, mode, *powers))
+            rows.append((d_prime, mode, *_mean_powers(scenario, interaction, seed, n, workers)))
     header = (
         "d_prime_m",
         "mode",
@@ -243,7 +246,7 @@ def _check_power_consistency(cfg, scenario, seed, n, workers) -> list[tuple[str,
                 )
             )
             continue
-        theory, theory_se, mc, mc_se = _mean_powers(scenario, interaction, seed, n, workers, 2000)
+        theory, theory_se, mc, mc_se = _mean_powers(scenario, interaction, seed, n, workers)
         diff = abs(theory - mc)
         bound = 3.0 * math.hypot(theory_se, mc_se)
         checks.append(

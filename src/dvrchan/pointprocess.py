@@ -26,6 +26,7 @@ __all__ = [
     "sample_realization",
     "sample_block",
     "sample_class_points",
+    "sample_positions",
 ]
 
 KINDS = ("short", "tall")
@@ -242,10 +243,26 @@ def sample_block(
     tall_counts = _poisson_counts(mu_t, n, rng)
     u = gate < scenario.gamma
     n_tall = np.where(u, tall_counts, 0)
-    short_points = tall_points = None
-    if positions:
-        short_points = sample_class_points(scenario, scenario.short, int(n_short.sum()), rng)
-        tall_points = sample_class_points(scenario, scenario.tall, int(n_tall.sum()), rng)
+    block = RealizationBlock(u, n_short, n_tall, None, None, gate, tall_counts)
+    return sample_positions(scenario, block, rng) if positions else block
+
+
+def sample_positions(
+    scenario: Scenario,
+    block: RealizationBlock,
+    rng: np.random.Generator,
+    part: slice = slice(None),
+) -> RealizationBlock:
+    """Realizations ``part`` of ``block`` with their positions, drawn from ``rng``.
+
+    Draws the short positions and then the tall ones of the realizations in
+    ``part``, a slice with step 1, so their gate uniforms stay sorted.
+    ``block`` may have been sampled without positions.
+    """
+    arrays = (block.u, block.n_short, block.n_tall, block.gate, block.tall_counts)
+    u, n_short, n_tall, gate, tall_counts = (array[part] for array in arrays)
+    short_points = sample_class_points(scenario, scenario.short, int(n_short.sum()), rng)
+    tall_points = sample_class_points(scenario, scenario.tall, int(n_tall.sum()), rng)
     return RealizationBlock(u, n_short, n_tall, short_points, tall_points, gate, tall_counts)
 
 

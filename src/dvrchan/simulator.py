@@ -27,6 +27,7 @@ from .pointprocess import (
     mean_active_count,
     sample_block,
     sample_class_points,
+    sample_positions,
     substream,
 )
 
@@ -45,9 +46,11 @@ N_ANGLE_BINS = 64
 _BIN_WIDTH = 2.0 * math.pi / N_ANGLE_BINS
 ANGLE_BIN_EDGES = -math.pi + _BIN_WIDTH / 2.0 + np.arange(N_ANGLE_BINS + 1) * _BIN_WIDTH
 
-# A block holds at most _BLOCK_SIZE realizations and, on average, at most
-# _BLOCK_POINTS scatterers, so its memory is bounded whatever the densities.
-_BLOCK_SIZE = 8192
+# Every run is partitioned into blocks of _BLOCK_SIZE realizations, whatever
+# the scenario.  A block that draws positions draws them in sub-chunks that
+# hold, on average, at most _BLOCK_POINTS scatterers (see _block_length), so
+# its memory is bounded whatever the densities.
+_BLOCK_SIZE = 16384
 _BLOCK_POINTS = 1 << 21
 
 # Optional statistics a run can compute.  The count histogram and the gate
@@ -189,8 +192,9 @@ class RunSummary:
 
 
 def _histogram_angles(angles: np.ndarray) -> np.ndarray:
-    shifted = np.where(angles <= ANGLE_BIN_EDGES[0], angles + 2.0 * math.pi, angles)
-    counts, _ = np.histogram(shifted, bins=ANGLE_BIN_EDGES)
+    """Angle-bin counts of ``angles``, which are wrapped into the bins in place."""
+    angles[angles <= ANGLE_BIN_EDGES[0]] += 2.0 * math.pi
+    counts, _ = np.histogram(angles, bins=ANGLE_BIN_EDGES)
     return counts.astype(np.int64)
 
 
@@ -228,6 +232,43 @@ def _toa_pick(
     return closed, open_
 
 
+def _power(
+    part: RealizationBlock, scenario: Scenario, interaction: InteractionModel, rng
+) -> Moments:
+    """Moments of the coherent received power of each realization of ``part``.
+
+    Draws the short and then the tall bounce coefficients from ``rng``.  Each
+    active scatterer is one component; a realization's power is the coherent
+    sum over its components, zero when it has none.
+    """
+    n_tall = part.tall_counts[: int(np.searchsorted(part.gate, scenario.gamma))]
+    sigma = math.sqrt(interaction.coeff_var)
+    r_short = rng.normal(interaction.coeff_mean, sigma, len(part.short_points))
+    r_tall = rng.normal(interaction.coeff_mean, sigma, len(part.tall_points))
+    re = np.zeros(len(part))
+    im = np.zeros(len(part))
+    for points, r, class_counts in (
+        (part.short_points, r_short, part.n_short),
+        (part.tall_points, r_tall, n_tall),
+    ):
+        seg = np.repeat(np.arange(len(class_counts)), class_counts)
+        c, s = interaction.phasor(*distances(points, scenario.d_prime), r)
+        re += np.bincount(seg, weights=c, minlength=len(part))
+        im += np.bincount(seg, weights=s, minlength=len(part))
+    return Moments.of(interaction.k0 * (re * re + im * im))
+
+
+def _angles(part: RealizationBlock, d_prime: float) -> tuple[np.ndarray, np.ndarray]:
+    """Departure and arrival angle histograms of ``part``'s positions, a class at a time."""
+    aod = aoa = 0
+    for points in (part.short_points, part.tall_points):
+        x, y = points[:, 0], points[:, 1]
+        aod = aod + _histogram_angles(np.arctan2(y, x))
+        angles = np.subtract(x, d_prime)
+        aoa = aoa + _histogram_angles(np.arctan2(y, angles, out=angles))
+    return aod, aoa
+
+
 def _reduce_block(
     block: RealizationBlock,
     scenario: Scenario,
@@ -240,20 +281,24 @@ def _reduce_block(
 
     Reads the gate from ``scenario.gamma``, the block's sorted gate uniforms
     and its ungated tall counts, so a block drawn at any ``gamma`` reduces
-    the same way.  Only when ``"power"`` is requested, draws the short and
-    then the tall bounce coefficients from ``rng``.  The single-component ToA
-    estimator reads ``pick``, drawn from a child of ``rng`` when not given
-    (see :func:`_toa_pick`), and no position of the block.  Each active
-    scatterer is one component; a realization's power is the coherent sum
-    over its components, zero when it has none.
+    the same way.  The count histogram, the gate count and the
+    single-component ToA estimator are over the whole block; the estimator
+    reads ``pick``, drawn from a child of ``rng`` when not given (see
+    :func:`_toa_pick`), and no position of the block.
+
+    Only when ``"power"`` or ``"angles"`` is requested does the block read
+    positions, in sub-chunks.  A block that holds its positions is one
+    sub-chunk.  A block sampled without them draws them here, in sub-chunks
+    of :func:`_block_length` realizations, in order: from ``rng``, a
+    sub-chunk's short positions, its tall positions
+    (:func:`sample_positions`) and then, for ``"power"``, its bounce
+    coefficients (:func:`_power`).  Each sub-chunk's power moments and angle
+    histograms merge into the block's.
     """
-    block_len = len(block)
-    d_prime = scenario.d_prime
     # The gate uniforms are sorted: the first n_open realizations are gate-open.
     n_open = int(np.searchsorted(block.gate, scenario.gamma))
-    n_tall = block.tall_counts[:n_open]
     counts = block.n_short.copy()
-    counts[:n_open] += n_tall
+    counts[:n_open] += block.tall_counts[:n_open]
     computed = {}
 
     if "toa" in statistics:
@@ -262,28 +307,22 @@ def _reduce_block(
             Moments.of(tau[~np.isnan(tau)]) for tau in (open_[:n_open], closed[n_open:])
         )
 
-    if "power" in statistics:
-        sigma = math.sqrt(interaction.coeff_var)
-        r_short = rng.normal(interaction.coeff_mean, sigma, len(block.short_points))
-        r_tall = rng.normal(interaction.coeff_mean, sigma, len(block.tall_points))
-        re = np.zeros(block_len)
-        im = np.zeros(block_len)
-        for points, r, class_counts in (
-            (block.short_points, r_short, block.n_short),
-            (block.tall_points, r_tall, n_tall),
-        ):
-            seg = np.repeat(np.arange(len(class_counts)), class_counts)
-            c, s = interaction.phasor(*distances(points, d_prime), r)
-            re += np.bincount(seg, weights=c, minlength=block_len)
-            im += np.bincount(seg, weights=s, minlength=block_len)
-        computed["power"] = Moments.of(interaction.k0 * (re * re + im * im))
-
-    if "angles" in statistics:
-        points = np.concatenate((block.short_points, block.tall_points))
-        computed["aod_histogram"] = _histogram_angles(np.arctan2(points[:, 1], points[:, 0]))
-        computed["aoa_histogram"] = _histogram_angles(
-            np.arctan2(points[:, 1], points[:, 0] - d_prime)
-        )
+    if statistics & {"power", "angles"}:
+        held = block.short_points is not None
+        step = len(block) if held else _block_length(scenario)
+        power, aod, aoa = Moments(), 0, 0
+        for lo in range(0, len(block), step):
+            part = block if held else sample_positions(scenario, block, rng, slice(lo, lo + step))
+            if "power" in statistics:
+                power = power.merge(_power(part, scenario, interaction, rng))
+            if "angles" in statistics:
+                part_aod, part_aoa = _angles(part, scenario.d_prime)
+                aod, aoa = aod + part_aod, aoa + part_aoa
+            del part  # free a sub-chunk's positions before the next one's are drawn
+        if "power" in statistics:
+            computed["power"] = power
+        if "angles" in statistics:
+            computed["aod_histogram"], computed["aoa_histogram"] = aod, aoa
 
     return RunSummary(
         scenario.gamma,
@@ -296,10 +335,10 @@ def _reduce_block(
 
 
 # A ToA-only run draws the gamma-free arrays of its first _GAMMA_FREE_BLOCKS
-# blocks as one head: 16 blocks of 8192 realizations at 32 bytes each
-# (~4 MiB), more than a preset toa-sweep run's 13.  Later blocks are drawn
-# afresh.  Only the last head drawn is kept, as the pair (key, blocks).
-_GAMMA_FREE_BLOCKS = 16
+# blocks as one head: 2**17 realizations at 32 bytes each (~4 MiB), more
+# than a preset toa-sweep run's 1e5.  Later blocks are drawn afresh.  Only
+# the last head drawn is kept, as the pair (key, blocks).
+_GAMMA_FREE_BLOCKS = (1 << 17) // _BLOCK_SIZE
 _head = None
 
 
@@ -353,6 +392,8 @@ def _toa_head(
 
 
 def _block_length(scenario: Scenario) -> int:
+    """Sub-chunk length of a block that draws positions: at most ``_BLOCK_SIZE``
+    realizations, which hold on average at most ``_BLOCK_POINTS`` scatterers."""
     mu = mean_active_count(scenario, "short") + mean_active_count(scenario, "tall")
     return max(1, min(_BLOCK_SIZE, _BLOCK_POINTS // max(1, math.ceil(mu))))
 
@@ -385,21 +426,23 @@ def run_experiment(
 ) -> RunSummary:
     """Run a Monte Carlo experiment and aggregate its statistics.
 
-    Realizations are partitioned into fixed-size blocks with deterministic
-    per-block RNG substreams and merged in block order, so the result depends
-    only on (scenario, seed, n_realizations), never on the worker count.
-    A block holds ``min(8192, 2**21 // ceil(mean scatterers per
-    realization))`` realizations, at least 1, which depends on the scenario
-    alone and bounds a block's memory.  ``statistics`` is a subset of :data:`STATISTICS` naming
-    the optional statistics to compute; what a block draws for one statistic
-    does not depend on the others named, so each computed statistic equals
-    that of a full run.  A run computing ``{"toa"}`` or nothing draws no
-    scatterer position.  One computing ``{"toa"}`` alone takes the gamma-free
-    arrays of its first ``_GAMMA_FREE_BLOCKS`` blocks as one head (see
-    :func:`_toa_head`), kept from the last such run when it had the same
-    scenario apart from ``gamma``, seed, ``n_realizations`` and block length,
-    and reduces them on the calling thread through the same reducer, with
-    the same result.  The pool, if any, only draws a head that is not kept.
+    Realizations are partitioned into blocks of ``_BLOCK_SIZE`` (16384)
+    realizations, the last one shorter, whatever the scenario.  Block ``i``
+    draws from ``substream(seed, i)`` and the blocks merge in block order, so
+    the result depends only on (scenario, seed, n_realizations), never on
+    the worker count.  ``statistics`` is a subset of :data:`STATISTICS`
+    naming the optional statistics to compute; what a block draws for one
+    statistic does not depend on the others named, so each computed
+    statistic equals that of a full run.  A run computing ``{"toa"}`` or
+    nothing draws no scatterer position.  One computing ``"power"`` or
+    ``"angles"`` draws each block's positions in sub-chunks of
+    :func:`_block_length` realizations, which bounds a block's memory (see
+    :func:`_reduce_block`).  One computing ``{"toa"}`` alone takes the
+    gamma-free arrays of its first ``_GAMMA_FREE_BLOCKS`` blocks as one head
+    (see :func:`_toa_head`), kept from the last such run when it had the
+    same scenario apart from ``gamma``, seed, ``n_realizations`` and block
+    length, and reduces them on the calling thread through the same reducer,
+    with the same result.  The pool, if any, only draws a head that is not kept.
     One worker runs the other blocks inline, one after another; more run
     them on a thread pool with at most ``2 * workers`` blocks in flight at
     once.
@@ -411,15 +454,14 @@ def run_experiment(
         raise ValueError(f"unknown statistics {sorted(statistics - STATISTICS)}")
     if seed is None:
         seed = scenario.seed
-    block_size = _block_length(scenario)
+    block_size = _BLOCK_SIZE
     n_blocks = -(-n_realizations // block_size)
-    positions = not statistics <= {"toa"}
     scenario0 = dataclasses.replace(scenario, gamma=0.0, seed=0)
 
     def job(index: int) -> RunSummary:
         block_len = min(block_size, n_realizations - index * block_size)
         rng = substream(seed, index)
-        block = sample_block(scenario, block_len, rng, positions=positions)
+        block = sample_block(scenario, block_len, rng, positions=False)
         return _reduce_block(block, scenario, interaction, rng, statistics)
 
     def summaries(pool: ThreadPoolExecutor | None) -> Iterator[RunSummary]:

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import dvrchan
-from dvrchan import cli
+from dvrchan import cli, simulator
 from dvrchan.cli import main
-from dvrchan.config import ConfigError, load_config
+from dvrchan.config import MAX_REALIZATIONS, ConfigError, load_config
 from dvrchan.pointprocess import substream
 
 GTU_MU_SHORT = 19.98995405479186
@@ -201,6 +201,48 @@ class TestValidateCommand:
         (line,) = [ln for ln in lines if "power-dual-scattering" in ln]
         assert line.startswith("PASS power-dual-scattering: |closed form - simulated|")
 
+    def test_power_closed_form_draws_no_block_stream(self, monkeypatch, capsys):
+        # the closed form is checked against a simulation of at most
+        # MAX_REALIZATIONS realizations: no block of it may share its stream
+        made = []
+        used = []
+        make, closed_form = cli.substream, cli.mean_received_power
+
+        def recording(seed, index):
+            made.append((make(seed, index), index))
+            return made[-1][0]
+
+        def spy(scenario, interaction, n_mc, rng):
+            used.append(next(index for stream, index in made if stream is rng))
+            return closed_form(scenario, interaction, n_mc, rng)
+
+        monkeypatch.setattr(cli, "substream", recording)
+        monkeypatch.setattr(cli, "mean_received_power", spy)
+        assert main(["validate", "--realizations", "20000"]) == 0
+        assert "PASS power-dual-reflection: |closed form" in capsys.readouterr().out
+        most_blocks = -(-MAX_REALIZATIONS // simulator._BLOCK_SIZE)
+        assert used and all(index >= most_blocks for index in used)
+
+    @pytest.mark.parametrize("config", ["hot", "coeff"])
+    def test_overflowing_power_exits_1(self, tmp_path, capsys, config):
+        # powers past ~1e154 W overflow the simulated stderr: no check may
+        # pass against an infinite bound
+        overrides = {
+            "hot": {"interaction": {"transmit_power_w": 1e200}},
+            "coeff": {
+                "interaction": {
+                    "reflection": {"coeff_mean": 1e100},
+                    "scattering": {"coeff_mean": 1e100},
+                }
+            },
+        }[config]
+        cfg = write_config(tmp_path, overrides)
+        with pytest.warns(RuntimeWarning):
+            assert main(["validate", "--config", cfg, "--realizations", "2000"]) == 1
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert captured.err.startswith("error: a result overflows float64: mean power of reflection")
+
     @pytest.mark.parametrize("seed", range(12))
     def test_power_checks_skipped_at_zero_d_prime(self, tmp_path, seed):
         # the BS and the MS coincide: the reflection amplitude 1/(x + y) is
@@ -237,10 +279,10 @@ class TestGoldenOutput:
     """
 
     DIGESTS = {
-        ("toa-sweep", "20000"): "8fb63bb4454898514d289ad82dc43ef6",
-        ("pmf", "20000"): "fd40677ae2f82f1033b5968db47357ec",
+        ("toa-sweep", "20000"): "45ab24d861b2bbe4870beb2d475796fd",
+        ("pmf", "20000"): "89d9dbe7558838c8d103c64f829a2071",
         ("power", "2000"): "ac21ea870762c92caec0918a819a1ccc",
-        ("angles", "20000"): "1035a16fc7bb1791e07f12ac922a6067",
+        ("angles", "20000"): "68dc8e597e1b59619c72749f17a354ae",
     }
 
     @pytest.mark.parametrize("workers", ["1", "2"])

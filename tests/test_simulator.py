@@ -23,6 +23,7 @@ from dvrchan.pointprocess import (
     substream,
 )
 from dvrchan.simulator import (
+    _BLOCK_SIZE,
     ANGLE_BIN_EDGES,
     N_ANGLE_BINS,
     STATISTICS,
@@ -429,8 +430,8 @@ class TestToaMemo:
         assert got == expected
 
     def test_capacity(self, cache, monkeypatch):
-        # The preset's toa-sweep runs (1e5 realizations, 13 blocks) fit the head.
-        assert simulator._GAMMA_FREE_BLOCKS >= 13
+        # The preset's toa-sweep runs (1e5 realizations) fit the head.
+        assert simulator._GAMMA_FREE_BLOCKS * _BLOCK_SIZE >= 100_000
         # a run of four times the head's length: blocks past it are sampled whole
         scenario = Scenario(
             d_prime=200.0,
@@ -517,28 +518,102 @@ class TestToaMemo:
         assert alive[0] == 0
 
 
-def test_block_memory_bounded(gtu):
-    # The short class of perfbench's thin-lens config (0.42 per m^2) at
-    # d' = 0.1 km holds ~1.2e5 scatterers per realization; 8192 of them in one
-    # block would need ~15 GiB of positions.  A block of the derived length
-    # holds ~2**21 points, 32 MiB of positions.
-    scenario = dataclasses.replace(
+def _thin_lens(gtu):
+    """The short class of perfbench's thin-lens config (0.42 per m^2) at d' = 0.1 km:
+    ~1.2e5 scatterers per realization."""
+    return dataclasses.replace(
         gtu.scenario(d_prime=100.0),
         short=dataclasses.replace(gtu.short, density=0.42),
     )
+
+
+def _dense(gtu):
+    """The config ``{"scenario": {"short": {"density_exponent": 0}}}``: a short
+    density of 7.07 per m^2, ~2.0e6 scatterers per realization."""
+    return dataclasses.replace(gtu.scenario(), short=dataclasses.replace(gtu.short, density=7.07))
+
+
+def test_block_memory_bounded(gtu, monkeypatch):
+    # A block of the thin lens's 16384 realizations would need ~29 GiB of
+    # positions.  A position-drawing run draws them in sub-chunks of the
+    # derived length, ~2**21 points, 32 MiB of positions, and frees each
+    # sub-chunk before it draws the next.
+    scenario = _thin_lens(gtu)
     mu = mean_active_count(scenario, "short") + mean_active_count(scenario, "tall")
     assert simulator._block_length(scenario) * mu <= simulator._BLOCK_POINTS
     assert simulator._block_length(gtu.scenario()) == simulator._BLOCK_SIZE
     densest = dataclasses.replace(gtu.short, density=1e7 / (math.pi * gtu.short.v2**2))
     assert simulator._block_length(dataclasses.replace(scenario, short=densest)) == 1
+    parts = []
+    positions = simulator.sample_positions
+    monkeypatch.setattr(
+        simulator,
+        "sample_positions",
+        lambda s, block, rng, part: parts.append(part) or positions(s, block, rng, part),
+    )
+    n = 2 * simulator._block_length(scenario) + 1
     tracemalloc.start()
     try:
-        summary = run_experiment(scenario, GTU_REFLECTION, 64, statistics={"toa"})
+        summary = run_experiment(scenario, GTU_REFLECTION, n, statistics={"angles"})
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert summary.mpc_count_histogram.sum() == 64
+    assert len(parts) == 3
+    assert summary.mpc_count_histogram.sum() == n
+    assert summary.aod_histogram.sum() == np.arange(len(summary.mpc_count_histogram)) @ (
+        summary.mpc_count_histogram
+    )
     assert peak < 2 * simulator._BLOCK_POINTS * 16
+
+
+@pytest.mark.parametrize(
+    "config, wanted", [(_thin_lens, {"toa"}), (_dense, set())], ids=["thin-toa", "dense-counts"]
+)
+def test_partition_is_the_same_for_every_scenario(gtu, cache, monkeypatch, config, wanted):
+    # The thin and dense lenses, whose sub-chunks hold 17 and 1 realizations,
+    # draw their counts in blocks of _BLOCK_SIZE all the same.
+    scenario = config(gtu)
+    assert simulator._block_length(scenario) in (17, 1)
+    sizes = []
+    sample = simulator.sample_block
+    monkeypatch.setattr(
+        simulator,
+        "sample_block",
+        lambda s, size, rng, **k: sizes.append(size) or sample(s, size, rng, **k),
+    )
+    n = simulator._BLOCK_SIZE + 1
+    summary = run_experiment(scenario, GTU_REFLECTION, n, statistics=wanted)
+    assert sizes == [simulator._BLOCK_SIZE, 1]
+    assert summary.mpc_count_histogram.sum() == n
+
+
+@pytest.mark.usefixtures("small_blocks")
+def test_sub_chunked_run(cache, monkeypatch):
+    # Blocks of 1000, 1000 and 500 realizations, each drawn and reduced in
+    # sub-chunks of 2**14 // 41 = 399 realizations (41 scatterers each, on
+    # average, with the gate open).
+    monkeypatch.setattr(simulator, "_BLOCK_POINTS", 1 << 14)
+    scenario = make_scenario(seed=39)
+    assert simulator._block_length(scenario) == 399
+    parts = []
+    positions = simulator.sample_positions
+    monkeypatch.setattr(
+        simulator,
+        "sample_positions",
+        lambda s, block, rng, part: parts.append(part) or positions(s, block, rng, part),
+    )
+    serial = run_experiment(scenario, GTU_REFLECTION, 2_500, workers=1)
+    assert len(parts) == 3 + 3 + 2
+    parallel = run_experiment(scenario, GTU_REFLECTION, 2_500, workers=2)
+    for name in ("n_gate_open", "tau_open", "tau_closed", "power"):
+        assert getattr(serial, name) == getattr(parallel, name)
+    for name in ("mpc_count_histogram", "aod_histogram", "aoa_histogram"):
+        assert np.array_equal(getattr(serial, name), getattr(parallel, name))
+    # the ToA reads the whole block, as a {"toa"} run does from its head
+    toa = run_experiment(scenario, GTU_REFLECTION, 2_500, workers=2, statistics={"toa"})
+    assert _toa_fields(serial) == _toa_fields(toa)
+    counts = serial.mpc_count_histogram
+    assert serial.aod_histogram.sum() == np.arange(len(counts)) @ counts
 
 
 @pytest.mark.parametrize("wanted", [{"toa"}, set()], ids=["toa", "none"])
