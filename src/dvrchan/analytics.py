@@ -289,12 +289,6 @@ def joint_pdf(x: float, y: float, scenario: Scenario, class_kind: str) -> float:
         return 0.0
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def _phasors(scenario, class_kind, interaction, n_mc, rng):
     """``n_mc`` bounce phasors of one class, as in-phase and quadrature arrays.
 
@@ -321,7 +315,7 @@ def moment_terms(
 ) -> MomentTerms:
     """Estimate the bounce moments for one class from ``n_mc`` Monte Carlo phasors."""
     results = []
-    for sample in _phasors(scenario, class_kind, interaction, n_mc, _as_rng(rng)):
+    for sample in _phasors(scenario, class_kind, interaction, n_mc, np.random.default_rng(rng)):
         mean = float(sample.mean())
         centered = sample - mean
         m2 = float(np.mean(centered**2))
@@ -346,7 +340,7 @@ def mean_received_power(
     bounce phasors ``z``; each class's ``E[z]`` and ``E|z|^2`` come from
     ``n_mc`` Monte Carlo phasors, and a class with an empty lens adds nothing.
     """
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     mu_s, mu_t = _mus(scenario)
     if mu_s <= 0.0 and mu_t <= 0.0:
         raise DegenerateScenarioError("both scatterer classes are degenerate")

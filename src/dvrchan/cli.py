@@ -40,11 +40,7 @@ MAX_WORKERS = 64
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return format(value, ".12g")
-    return str(value)
+    return format(value, ".12g") if isinstance(value, float) else str(value)
 
 
 def _write_csv(path: str, cfg: RunConfig, seed: int, command: str, header, rows):

@@ -93,32 +93,42 @@ def lens_area_partial(d0: float, a: float, b: float) -> float:
 def _lens_area(d0, a, b):
     """Elementwise overlap area of every lens the broadcast arguments describe.
 
-    The inverse cosines and the triangle root are evaluated through the
-    factored forms ``1 -/+ cos = (product of side sums/differences) / (2 d0 r)``
-    and ``acos(c) = 2 atan2(sqrt(1 - c), sqrt(1 + c))``, which stay accurate
-    arbitrarily close to the tangency boundaries where the direct
-    ``acos((d0^2 + r^2 - s^2) / (2 d0 r))`` form loses several digits.  The
-    clamped tangency factors make the same expression ``pi b^2`` for a
-    contained disk; only concentric equal circles (``atan2(0, 0)``) need the
-    explicit contained branch.  Disjoint disks (``d0 >= a + b``) are 0, tested
-    before ``d0`` is clamped to ``a + b``: a ``b`` below half an ulp of ``a``
-    would otherwise read as contained.  The clamp keeps a far-away ``d0`` from
-    overflowing a factor: with radii up to 1e75 m every product stays finite.
+    The area is the sum of two circular segments, ``r^2 (x - sin x) / 2`` for
+    radius ``r`` and central angle ``x``; neither is negative, so no ratio
+    of the radii makes it a small difference of large terms.  The angles
+    come from the factored forms
+    ``1 -/+ cos = (product of side sums/differences) / (2 d0 r)`` and
+    ``acos(c) = 2 atan2(sqrt(1 - c), sqrt(1 + c))``, accurate arbitrarily
+    close to either tangency; the tangency factors subtract ``a`` and ``d0``
+    first, which is exact near ``d0 = a``.  Contained disks, where the
+    internal-tangency factor is 0, are ``pi b^2``: equal circles less than
+    an ulp apart (``atan2(0, 0)``) among them.  Disjoint disks
+    (``d0 >= a + b``) are 0, tested before ``d0`` is clamped to ``a + b``: a
+    ``b`` below half an ulp of ``a`` would otherwise read as contained.  The
+    clamp keeps a far-away ``d0`` from overflowing a factor: with radii up to
+    1e75 m every product stays finite.
     """
     # The expression is symmetric in (a, b); canonicalize so the
     # floating-point result is exactly symmetric too.
     a, b = np.maximum(a, b), np.minimum(a, b)
     disjoint = d0 >= a + b
     d0 = np.minimum(d0, a + b)
-    f1 = np.maximum(d0 + b - a, 0.0)  # internal-tangency factor
+    f1 = np.maximum((d0 - a) + b, 0.0)  # internal-tangency factor
     f2 = d0 + b + a
-    f3 = np.maximum(a + b - d0, 0.0)  # external-tangency factor
+    f3 = np.maximum((a - d0) + b, 0.0)  # external-tangency factor
     f4 = a + d0 - b
-    angle_a = 2.0 * np.arctan2(np.sqrt(f3 * f4), np.sqrt(f1 * f2))
-    angle_b = 2.0 * np.arctan2(np.sqrt(f3 * f1), np.sqrt(f4 * f2))
-    root = np.sqrt(f1 * f2 * f3 * f4)
-    partial = b * b * angle_a + a * a * angle_b - 0.5 * root
-    return np.select([disjoint, a - b >= d0], [0.0, math.pi * (b * b)], partial)
+    # x - sin x of the central angles x of the segments of b and of a; below
+    # x = 1, where the difference cancels, by the Taylor series
+    # x^3/6 (1 - x^2/20 (1 - x^2/42 (...))), whose terms past x^19 are below 2**-53.
+    x = 4.0 * np.arctan2(np.sqrt([f3 * f4, f3 * f1]), np.sqrt([f1 * f2, f4 * f2]))
+    seg = x - np.sin(x)
+    small = x < 1.0
+    x2, series = x[small] ** 2, 1.0
+    for k in range(18, 2, -2):
+        series = 1.0 - x2 / (k * (k + 1)) * series
+    seg[small] = x[small] * x2 / 6.0 * series
+    partial = 0.5 * (b * b * seg[0] + a * a * seg[1])
+    return np.where(disjoint, 0.0, np.where(f1 == 0.0, math.pi * (b * b), partial))
 
 
 def density_kernel(d_prime: float, x: float, y: float) -> float:

@@ -103,16 +103,15 @@ class Realization:
 class RealizationBlock:
     """Vectorized batch of realizations.
 
-    Each class's positions are laid out in realization order, ``counts[j]``
-    rows for realization ``j``; both are ``None`` in a block sampled without
-    positions.  ``gate`` holds the uniforms behind the gate states, sorted,
-    so ``u = gate < gamma`` is a prefix of the block; ``tall_counts`` holds
-    the tall counts before the gate zeroes them.  Together with ``n_short``
-    these are free of ``gamma``; the simulator's cached blocks keep only them
-    and set ``u`` and ``n_tall`` to ``None``.
+    ``gate`` holds the uniforms behind the gate states, sorted, so the
+    gate-open realizations ``gate < gamma`` are a prefix of the block;
+    ``tall_counts`` holds the tall counts before the gate zeroes them and
+    ``n_tall`` after.  Each class's positions are laid out in realization
+    order, ``counts[j]`` rows for realization ``j``, and are ``None`` in a
+    block of counts (:func:`sample_block`).  The simulator's cached blocks
+    keep only the gamma-free ``n_short``, ``gate`` and ``tall_counts``.
     """
 
-    u: np.ndarray | None
     n_short: np.ndarray
     n_tall: np.ndarray | None
     short_points: np.ndarray | None
@@ -219,54 +218,43 @@ def _poisson_counts(mu: float, n: int, rng: np.random.Generator) -> np.ndarray:
     return counts
 
 
-def sample_block(
-    scenario: Scenario, n: int, rng: np.random.Generator, positions: bool = True
-) -> RealizationBlock:
-    """Sample ``n`` independent realizations in one vectorized pass.
+def sample_block(scenario: Scenario, n: int, rng: np.random.Generator) -> RealizationBlock:
+    """Sample the counts and gates of ``n`` independent realizations in one vectorized pass.
 
-    Draw order is fixed (short counts, gate uniforms, tall counts, short
-    positions, tall positions) so a given generator state always yields the
-    same block; each count takes one uniform (:func:`_poisson_counts`).
-    Without ``positions`` it stops after the tall counts.  The gate uniforms
-    are sorted, so the gate-open realizations are the first
-    ``searchsorted(gate, gamma)``.  The gate is independent of every other
-    draw, so the block holds ``n`` independent realizations listed in the
-    order of their gate uniforms.
+    Draw order is fixed (short counts, gate uniforms, tall counts) so a given
+    generator state always yields the same block; each count takes one
+    uniform (:func:`_poisson_counts`).  The block holds no positions
+    (:func:`sample_positions` draws them).  The gate uniforms are sorted, so
+    the gate-open realizations are the first ``searchsorted(gate, gamma)``.
+    The gate is independent of every other draw, so the block holds ``n``
+    independent realizations listed in the order of their gate uniforms.
     """
-    mu_s = mean_active_count(scenario, "short")
-    mu_t = mean_active_count(scenario, "tall")
-    n_short = _poisson_counts(mu_s, n, rng)
+    n_short = _poisson_counts(mean_active_count(scenario, "short"), n, rng)
     gate = np.sort(rng.random(n))
     # Tall counts are drawn for every realization, whatever its gate, so that
     # the counts and gate uniforms are the same for every gamma: the
     # simulator's gamma-free cache relies on this.
-    tall_counts = _poisson_counts(mu_t, n, rng)
-    u = gate < scenario.gamma
-    n_tall = np.where(u, tall_counts, 0)
-    block = RealizationBlock(u, n_short, n_tall, None, None, gate, tall_counts)
-    return sample_positions(scenario, block, rng) if positions else block
+    tall_counts = _poisson_counts(mean_active_count(scenario, "tall"), n, rng)
+    n_tall = np.where(gate < scenario.gamma, tall_counts, 0)
+    return RealizationBlock(n_short, n_tall, None, None, gate, tall_counts)
 
 
 def sample_positions(
-    scenario: Scenario,
-    block: RealizationBlock,
-    rng: np.random.Generator,
-    part: slice = slice(None),
+    scenario: Scenario, block: RealizationBlock, rng: np.random.Generator, part: slice = slice(None)
 ) -> RealizationBlock:
     """Realizations ``part`` of ``block`` with their positions, drawn from ``rng``.
 
     Draws the short positions and then the tall ones of the realizations in
     ``part``, a slice with step 1, so their gate uniforms stay sorted.
-    ``block`` may have been sampled without positions.
     """
-    arrays = (block.u, block.n_short, block.n_tall, block.gate, block.tall_counts)
-    u, n_short, n_tall, gate, tall_counts = (array[part] for array in arrays)
+    arrays = (block.n_short, block.n_tall, block.gate, block.tall_counts)
+    n_short, n_tall, gate, tall_counts = (array[part] for array in arrays)
     short_points = sample_class_points(scenario, scenario.short, int(n_short.sum()), rng)
     tall_points = sample_class_points(scenario, scenario.tall, int(n_tall.sum()), rng)
-    return RealizationBlock(u, n_short, n_tall, short_points, tall_points, gate, tall_counts)
+    return RealizationBlock(n_short, n_tall, short_points, tall_points, gate, tall_counts)
 
 
 def sample_realization(scenario: Scenario, rng: np.random.Generator) -> Realization:
     """Sample a single realization of the scatterer process."""
-    block = sample_block(scenario, 1, rng)
-    return Realization(int(block.u[0]), block.short_points, block.tall_points)
+    block = sample_positions(scenario, sample_block(scenario, 1, rng), rng)
+    return Realization(int(block.gate[0] < scenario.gamma), block.short_points, block.tall_points)

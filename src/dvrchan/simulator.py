@@ -47,11 +47,13 @@ _BIN_WIDTH = 2.0 * math.pi / N_ANGLE_BINS
 ANGLE_BIN_EDGES = -math.pi + _BIN_WIDTH / 2.0 + np.arange(N_ANGLE_BINS + 1) * _BIN_WIDTH
 
 # Every run is partitioned into blocks of _BLOCK_SIZE realizations, whatever
-# the scenario.  A block that draws positions draws them in sub-chunks that
-# hold, on average, at most _BLOCK_POINTS scatterers (see _block_length), so
-# its memory is bounded whatever the densities.
+# the scenario (see _block).  A block that draws positions draws them in
+# sub-chunks that hold, on average, at most _BLOCK_POINTS scatterers (see
+# _block_length), and _power reads them in pieces of _PIECE_POINTS, so a
+# block's memory is bounded whatever the densities.
 _BLOCK_SIZE = 16384
 _BLOCK_POINTS = 1 << 21
+_PIECE_POINTS = 1 << 17
 
 # Optional statistics a run can compute.  The count histogram and the gate
 # count are always computed.
@@ -239,22 +241,27 @@ def _power(
 
     Draws the short and then the tall bounce coefficients from ``rng``.  Each
     active scatterer is one component; a realization's power is the coherent
-    sum over its components, zero when it has none.
+    sum over its components, zero when it has none.  A class's phasors are
+    summed in pieces of whole realizations, each realization's in one order.
     """
-    n_tall = part.tall_counts[: int(np.searchsorted(part.gate, scenario.gamma))]
     sigma = math.sqrt(interaction.coeff_var)
     r_short = rng.normal(interaction.coeff_mean, sigma, len(part.short_points))
     r_tall = rng.normal(interaction.coeff_mean, sigma, len(part.tall_points))
     re = np.zeros(len(part))
     im = np.zeros(len(part))
-    for points, r, class_counts in (
+    for points, r, counts in (
         (part.short_points, r_short, part.n_short),
-        (part.tall_points, r_tall, n_tall),
+        (part.tall_points, r_tall, part.n_tall),
     ):
-        seg = np.repeat(np.arange(len(class_counts)), class_counts)
-        c, s = interaction.phasor(*distances(points, scenario.d_prime), r)
-        re += np.bincount(seg, weights=c, minlength=len(part))
-        im += np.bincount(seg, weights=s, minlength=len(part))
+        ends = np.concatenate(([0], np.cumsum(counts)))
+        step = max(1, len(part) * _PIECE_POINTS // max(1, len(points)))
+        for lo in range(0, len(part), step):
+            hi = min(lo + step, len(part))
+            seg = np.repeat(np.arange(hi - lo), counts[lo:hi])
+            piece = slice(ends[lo], ends[hi])
+            c, s = interaction.phasor(*distances(points[piece], scenario.d_prime), r[piece])
+            re[lo:hi] += np.bincount(seg, weights=c, minlength=hi - lo)
+            im[lo:hi] += np.bincount(seg, weights=s, minlength=hi - lo)
     return Moments.of(interaction.k0 * (re * re + im * im))
 
 
@@ -279,21 +286,19 @@ def _reduce_block(
 ) -> RunSummary:
     """Summarize one block, computing only the requested ``statistics``.
 
-    Reads the gate from ``scenario.gamma``, the block's sorted gate uniforms
-    and its ungated tall counts, so a block drawn at any ``gamma`` reduces
-    the same way.  The count histogram, the gate count and the
-    single-component ToA estimator are over the whole block; the estimator
+    The count histogram, the gate count and the single-component ToA
+    estimator are over the whole block.  They read the gate from
+    ``scenario.gamma``, the sorted gate uniforms and the ungated tall
+    counts, so a block drawn at any ``gamma`` gives the same; the estimator
     reads ``pick``, drawn from a child of ``rng`` when not given (see
     :func:`_toa_pick`), and no position of the block.
 
     Only when ``"power"`` or ``"angles"`` is requested does the block read
-    positions, in sub-chunks.  A block that holds its positions is one
-    sub-chunk.  A block sampled without them draws them here, in sub-chunks
-    of :func:`_block_length` realizations, in order: from ``rng``, a
-    sub-chunk's short positions, its tall positions
-    (:func:`sample_positions`) and then, for ``"power"``, its bounce
-    coefficients (:func:`_power`).  Each sub-chunk's power moments and angle
-    histograms merge into the block's.
+    positions.  It draws them here, in sub-chunks of :func:`_block_length`
+    realizations, in order: from ``rng``, a sub-chunk's short positions, its
+    tall positions (:func:`sample_positions`) and then, for ``"power"``, its
+    bounce coefficients (:func:`_power`).  Each sub-chunk's power moments and
+    angle histograms merge into the block's.
     """
     # The gate uniforms are sorted: the first n_open realizations are gate-open.
     n_open = int(np.searchsorted(block.gate, scenario.gamma))
@@ -308,11 +313,10 @@ def _reduce_block(
         )
 
     if statistics & {"power", "angles"}:
-        held = block.short_points is not None
-        step = len(block) if held else _block_length(scenario)
+        step = _block_length(scenario)
         power, aod, aoa = Moments(), 0, 0
         for lo in range(0, len(block), step):
-            part = block if held else sample_positions(scenario, block, rng, slice(lo, lo + step))
+            part = sample_positions(scenario, block, rng, slice(lo, lo + step))
             if "power" in statistics:
                 power = power.merge(_power(part, scenario, interaction, rng))
             if "angles" in statistics:
@@ -334,6 +338,18 @@ def _reduce_block(
     )
 
 
+def _block(
+    scenario: Scenario, seed: int, n_realizations: int, index: int
+) -> tuple[RealizationBlock, np.random.Generator]:
+    """Block ``index`` of a run's partition (:func:`sample_block`), and the stream it draws from.
+
+    Block ``i`` holds ``min(_BLOCK_SIZE, n_realizations - i * _BLOCK_SIZE)``
+    realizations and draws from ``substream(seed, i)``.
+    """
+    rng = substream(seed, index)
+    return sample_block(scenario, min(_BLOCK_SIZE, n_realizations - index * _BLOCK_SIZE), rng), rng
+
+
 # A ToA-only run draws the gamma-free arrays of its first _GAMMA_FREE_BLOCKS
 # blocks as one head: 2**17 realizations at 32 bytes each (~4 MiB), more
 # than a preset toa-sweep run's 1e5.  Later blocks are drawn afresh.  Only
@@ -343,9 +359,9 @@ _head = None
 
 
 def _gamma_free(
-    scenario0: Scenario, seed: int, n_realizations: int, block_size: int, index: int
+    scenario0: Scenario, seed: int, n_realizations: int, index: int
 ) -> tuple[RealizationBlock, tuple[np.ndarray, np.ndarray]]:
-    """Block ``index`` of a run without positions, and its ToA pick (:func:`_toa_pick`).
+    """Block ``index`` of a run (:func:`_block`), and its ToA pick (:func:`_toa_pick`).
 
     Both are free of ``gamma``, so ``scenario0`` is the scenario with
     ``gamma`` and ``seed`` set to 0.  The block keeps only what
@@ -354,23 +370,17 @@ def _gamma_free(
     most 1e7), 32 bytes per realization with the pick.  Shared by every later
     run with the same head, so every array is read-only.
     """
-    rng = substream(seed, index)
-    block_len = min(block_size, n_realizations - index * block_size)
-    block = sample_block(scenario0, block_len, rng, positions=False)
+    block, rng = _block(scenario0, seed, n_realizations, index)
     pick = _toa_pick(block, scenario0, rng)
     n_short, tall_counts = block.n_short.astype(np.int32), block.tall_counts.astype(np.int32)
-    block = RealizationBlock(None, n_short, None, None, None, block.gate, tall_counts)
+    block = RealizationBlock(n_short, None, None, None, block.gate, tall_counts)
     for array in (block.gate, block.n_short, block.tall_counts, *pick):
         array.flags.writeable = False
     return block, pick
 
 
 def _toa_head(
-    scenario0: Scenario,
-    seed: int,
-    n_realizations: int,
-    block_size: int,
-    pool: ThreadPoolExecutor | None,
+    scenario0: Scenario, seed: int, n_realizations: int, pool: ThreadPoolExecutor | None
 ) -> tuple[tuple[RealizationBlock, tuple[np.ndarray, np.ndarray]], ...]:
     """The :func:`_gamma_free` blocks ``0, 1, ...`` of a run, at most ``_GAMMA_FREE_BLOCKS``.
 
@@ -379,13 +389,13 @@ def _toa_head(
     thread never compares one head's key and returns another's blocks.
     """
     global _head
-    key = (scenario0, seed, n_realizations, block_size)
+    key = (scenario0, seed, n_realizations)
     head = _head
     if head is not None and head[0] == key:
         return head[1]
     head = _head = None
     draw = functools.partial(_gamma_free, *key)
-    n_head = min(_GAMMA_FREE_BLOCKS, -(-n_realizations // block_size))
+    n_head = min(_GAMMA_FREE_BLOCKS, -(-n_realizations // _BLOCK_SIZE))
     blocks = tuple((map if pool is None else pool.map)(draw, range(n_head)))
     _head = key, blocks
     return blocks
@@ -440,8 +450,8 @@ def run_experiment(
     :func:`_reduce_block`).  One computing ``{"toa"}`` alone takes the
     gamma-free arrays of its first ``_GAMMA_FREE_BLOCKS`` blocks as one head
     (see :func:`_toa_head`), kept from the last such run when it had the
-    same scenario apart from ``gamma``, seed, ``n_realizations`` and block
-    length, and reduces them on the calling thread through the same reducer,
+    same scenario apart from ``gamma``, seed and ``n_realizations``, and
+    reduces them on the calling thread through the same reducer,
     with the same result.  The pool, if any, only draws a head that is not kept.
     One worker runs the other blocks inline, one after another; more run
     them on a thread pool with at most ``2 * workers`` blocks in flight at
@@ -454,23 +464,19 @@ def run_experiment(
         raise ValueError(f"unknown statistics {sorted(statistics - STATISTICS)}")
     if seed is None:
         seed = scenario.seed
-    block_size = _BLOCK_SIZE
-    n_blocks = -(-n_realizations // block_size)
     scenario0 = dataclasses.replace(scenario, gamma=0.0, seed=0)
 
     def job(index: int) -> RunSummary:
-        block_len = min(block_size, n_realizations - index * block_size)
-        rng = substream(seed, index)
-        block = sample_block(scenario, block_len, rng, positions=False)
+        block, rng = _block(scenario, seed, n_realizations, index)
         return _reduce_block(block, scenario, interaction, rng, statistics)
 
     def summaries(pool: ThreadPoolExecutor | None) -> Iterator[RunSummary]:
         head = ()
         if statistics == {"toa"}:
-            head = _toa_head(scenario0, seed, n_realizations, block_size, pool)
+            head = _toa_head(scenario0, seed, n_realizations, pool)
         for block, pick in head:
             yield _reduce_block(block, scenario, interaction, None, statistics, pick)
-        rest = range(len(head), n_blocks)
+        rest = range(len(head), -(-n_realizations // _BLOCK_SIZE))
         yield from map(job, rest) if pool is None else _in_order(pool, job, rest, 2 * workers)
 
     if workers == 1:

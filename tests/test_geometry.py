@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import stats
 
 from dvrchan import geometry
@@ -105,6 +107,79 @@ class TestLensArea:
             assert lens_area(LensSpec(d0, a * 1.05, b)) >= base - 1e-12
             assert lens_area(LensSpec(d0, a, b * 1.05)) >= base - 1e-12
             assert lens_area(LensSpec(d0 * 1.05, a, b)) <= base + 1e-12
+
+
+# Radii from 1e-3 m to the config's 1e75 m bound, log-uniform and drawn
+# independently, so many pairs have b below half an ulp of a.
+_RADII = st.floats(-3.0, 75.0).map(lambda exponent: 10.0**exponent)
+
+
+@st.composite
+def _lenses(draw, n=1):
+    """Radii ``(a, b)`` and ``n`` centre distances, each anywhere from 0 to
+    1.1 (a + b) or inside the partial regime ``[|a - b|, a + b]``."""
+    a, b = draw(_RADII), draw(_RADII)
+    lo, hi = abs(a - b), a + b
+    d0s = []
+    for _ in range(n):
+        t = draw(st.floats(0.0, 1.0))
+        d0s.append(draw(st.sampled_from([1.1 * t * hi, lo + t * (hi - lo)])))
+    return a, b, *d0s
+
+
+class TestLensAreaProperties:
+    """The lens area over radii from 1e-3 m to 1e75 m.
+
+    The tolerances are those of the fixed-seed tests in ``TestLensArea`` and
+    ``TestLensAreaPartial``, taken relative to the smaller disk's area
+    ``pi min(a, b)^2``.
+    """
+
+    @given(st.lists(_lenses(), min_size=1, max_size=20))
+    def test_array_matches_scalar(self, lenses):
+        a, b, d0 = (np.array(column) for column in zip(*lenses))
+        areas = geometry._lens_area(d0, a, b)
+        for area, (a_i, b_i, d0_i) in zip(areas, lenses):
+            assert area == lens_area(LensSpec(d0_i, a_i, b_i))
+
+    @given(_lenses())
+    # b below half an ulp of a: both tangencies round to d0 = a
+    @example((300.0, 1e-14, 300.0))
+    @example((1e75, 1e-3, 1e75))
+    # b a few ulps of a, d0 between the tangencies
+    @example((2.403431052920917e22, 3223838.4012857266, 2.403431052920917e22))
+    @example((9.068487588001195e28, 9046486992297.156, 9.068487588001195e28))
+    @example((1e75, 1e75, 0.0))
+    def test_symmetric_and_bounded(self, lens):
+        a, b, d0 = lens
+        area = lens_area(LensSpec(d0, a, b))
+        assert area == lens_area(LensSpec(d0, b, a))
+        assert 0.0 <= area <= math.pi * min(a, b) ** 2 * (1.0 + 1e-12)
+
+    @given(_lenses(n=2))
+    # equal circles less than an ulp apart are contained, not disjoint
+    @example((1.0, 1.0, 1e-100, 1.1))
+    def test_not_increasing_in_d0(self, lens):
+        a, b, *d0s = lens
+        near, far = sorted(d0s)
+        slack = 1e-12 * math.pi * min(a, b) ** 2
+        assert lens_area(LensSpec(far, a, b)) <= lens_area(LensSpec(near, a, b)) + slack
+
+    @given(_RADII, _RADII)
+    @example(300.0, 1e-14)
+    @example(1.0, 1.0)
+    def test_continuous_at_tangencies(self, a, b):
+        # Each tangency is approached from inside the partial regime, a step
+        # small against the smaller radius away; with b below half an ulp of
+        # a no d0 lies strictly between them and there is nothing to approach.
+        contained = math.pi * min(a, b) ** 2
+        eps = 1e-9 * min(a, b)
+        lo, hi = abs(a - b), a + b
+        if lo < lo + eps < hi:
+            near = lens_area(LensSpec(lo + eps, a, b))
+            assert near == pytest.approx(contained, rel=1e-6)
+        if lo < hi - eps < hi:
+            assert lens_area(LensSpec(hi - eps, a, b)) <= 1e-6 * contained
 
 
 class TestLensAreaPartial:

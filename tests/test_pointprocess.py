@@ -15,6 +15,7 @@ from dvrchan.pointprocess import (
     Scenario,
     mean_active_count,
     sample_block,
+    sample_positions,
     sample_realization,
     substream,
 )
@@ -76,17 +77,22 @@ class TestMeanActiveCount:
         assert mean_active_count(scenario, "tall") == 0.0
 
 
+def sample_with_positions(scenario, n, rng):
+    """``n`` realizations with their positions: the counts, then the positions."""
+    return sample_positions(scenario, sample_block(scenario, n, rng), rng)
+
+
 class TestSampling:
     def test_gamma_zero_never_tall(self):
         scenario = make_scenario(gamma=0.0)
         rng = substream(1, 0)
-        block = sample_block(scenario, 2000, rng)
-        assert not block.u.any()
+        block = sample_with_positions(scenario, 2000, rng)
+        assert not (block.gate < scenario.gamma).any()
         assert len(block.tall_points) == 0
 
     def test_membership_invariants(self):
         scenario = make_scenario(gamma=1.0, seed=3)
-        block = sample_block(scenario, 2000, substream(3, 0))
+        block = sample_with_positions(scenario, 2000, substream(3, 0))
         for cls, pts in ((scenario.short, block.short_points), (scenario.tall, block.tall_points)):
             assert np.all(np.hypot(pts[:, 0], pts[:, 1]) <= cls.v1 + 1e-9)
             assert np.all(np.hypot(pts[:, 0] - 200.0, pts[:, 1]) <= cls.v2 + 1e-9)
@@ -116,7 +122,7 @@ class TestSampling:
     def test_thinning_fraction_matches_gamma(self):
         scenario = make_scenario()
         block = sample_block(scenario, 50_000, substream(13, 0))
-        frac = block.u.mean()
+        frac = (block.gate < scenario.gamma).mean()
         sigma = math.sqrt(0.22 * 0.78 / len(block))
         assert abs(frac - 0.22) < 3.0 * sigma
 
@@ -126,7 +132,7 @@ class TestSampling:
         from _oracles import grid_cell_probabilities, grid_cells
 
         scenario = make_scenario(gamma=0.0, seed=5)
-        block = sample_block(scenario, 30_000, substream(5, 0))
+        block = sample_with_positions(scenario, 30_000, substream(5, 0))
         pts = block.short_points
         spec = scenario.short.lens(200.0)
         probs = grid_cell_probabilities(spec, 8, 2_000_000, np.random.default_rng(55))
@@ -138,9 +144,9 @@ class TestSampling:
 
     def test_determinism(self):
         scenario = make_scenario(seed=77)
-        a = sample_block(scenario, 500, substream(77, 0))
-        b = sample_block(scenario, 500, substream(77, 0))
-        assert np.array_equal(a.u, b.u)
+        a = sample_with_positions(scenario, 500, substream(77, 0))
+        b = sample_with_positions(scenario, 500, substream(77, 0))
+        assert np.array_equal(a.gate, b.gate)
         assert np.array_equal(a.short_points, b.short_points)
         assert np.array_equal(a.tall_points, b.tall_points)
 
@@ -181,11 +187,11 @@ class TestGammaFreeStage:
         for gamma in (0.0, 0.22, 0.5, 1.0):
             scenario = gtu.scenario(d_prime=d_prime, gamma=gamma)
             rng = substream(seed, 0)
-            block = sample_block(scenario, 2000, rng)
+            block = sample_with_positions(scenario, 2000, rng)
             counts = substream(seed, 0)
-            bare = sample_block(scenario, 2000, counts, positions=False)
-            # without positions the generator stops right after the tall
-            # counts: one uniform per short count, per gate, per tall count
+            bare = sample_block(scenario, 2000, counts)
+            # sample_block stops right after the tall counts: one uniform
+            # per short count, per gate, per tall count
             expected = substream(seed, 0)
             expected.random(2000)
             gate = expected.random(2000)
@@ -193,15 +199,15 @@ class TestGammaFreeStage:
             assert counts.bit_generator.state == expected.bit_generator.state
             assert np.array_equal(bare.gate, np.sort(gate))
             assert bare.short_points is None and bare.tall_points is None
-            for name in ("u", "n_short", "n_tall", "gate", "tall_counts"):
+            for name in ("n_short", "n_tall", "gate", "tall_counts"):
                 assert np.array_equal(getattr(bare, name), getattr(block, name))
             child = rng.spawn(1)[0].random(2000)
             assert np.array_equal(child, counts.spawn(1)[0].random(2000))
             draws.append((block.n_short, block.gate, block.tall_counts, block.short_points, child))
-            assert np.array_equal(block.u, block.gate < gamma)
             # the gate uniforms are sorted, so the gate-open realizations lead
-            assert np.array_equal(block.u, np.arange(2000) < np.count_nonzero(block.u))
-            assert np.array_equal(block.n_tall, np.where(block.u, block.tall_counts, 0))
+            u = block.gate < gamma
+            assert np.array_equal(u, np.arange(2000) < np.count_nonzero(u))
+            assert np.array_equal(block.n_tall, np.where(u, block.tall_counts, 0))
         assert draws[0][0].sum() > 0 or d_prime > 800.0
         for other in draws[1:]:
             for a, b in zip(draws[0], other):

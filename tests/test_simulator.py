@@ -20,6 +20,7 @@ from dvrchan.pointprocess import (
     Scenario,
     mean_active_count,
     sample_block,
+    sample_positions,
     substream,
 )
 from dvrchan.simulator import (
@@ -28,6 +29,8 @@ from dvrchan.simulator import (
     N_ANGLE_BINS,
     STATISTICS,
     Moments,
+    _angles,
+    _power,
     _reduce_block,
     run_experiment,
 )
@@ -50,11 +53,10 @@ def make_scenario(d_prime=200.0, gamma=0.22, seed=0):
     )
 
 
-def reduce_one(short_points, interaction=GTU_REFLECTION, seed=0):
-    """Reduce a hand-built block of one gate-closed realization."""
+def one_realization(short_points):
+    """A hand-built block of one gate-closed realization with these short scatterers."""
     points = np.asarray(short_points, dtype=float).reshape(-1, 2)
-    block = RealizationBlock(
-        np.array([False]),
+    return RealizationBlock(
         np.array([len(points)]),
         np.array([0]),
         points,
@@ -62,7 +64,12 @@ def reduce_one(short_points, interaction=GTU_REFLECTION, seed=0):
         gate=np.array([1.0]),
         tall_counts=np.array([0]),
     )
-    return _reduce_block(block, make_scenario(), interaction, substream(seed, 0))
+
+
+def power_of(short_points, interaction=GTU_REFLECTION, seed=0):
+    """Power of one gate-closed realization, through the block power kernel."""
+    block = one_realization(short_points)
+    return _power(block, make_scenario(), interaction, substream(seed, 0)).mean
 
 
 def binned_center(histogram):
@@ -72,18 +79,18 @@ def binned_center(histogram):
 
 
 class TestComputeAngles:
-    """Angle binning of hand-placed scatterers, through the block reducer."""
+    """Angle binning of hand-placed scatterers, through the block angle kernel."""
 
     def test_midpoint_scatterer(self):
-        summary = reduce_one([(100.0, 0.0)])
-        assert binned_center(summary.aod_histogram) == pytest.approx(0.0, abs=1e-12)
+        aod, aoa = _angles(one_realization([(100.0, 0.0)]), 200.0)
+        assert binned_center(aod) == pytest.approx(0.0, abs=1e-12)
         # pi is a bin center; the arrival angle lands there, not at -pi
-        assert binned_center(summary.aoa_histogram) == pytest.approx(math.pi, abs=1e-12)
+        assert binned_center(aoa) == pytest.approx(math.pi, abs=1e-12)
 
     def test_perpendicular_scatterer(self):
-        summary = reduce_one([(0.0, 50.0)])
-        assert binned_center(summary.aod_histogram) == pytest.approx(math.pi / 2.0, abs=1e-12)
-        index = int(np.flatnonzero(summary.aoa_histogram)[0])
+        aod, aoa = _angles(one_realization([(0.0, 50.0)]), 200.0)
+        assert binned_center(aod) == pytest.approx(math.pi / 2.0, abs=1e-12)
+        index = int(np.flatnonzero(aoa)[0])
         assert ANGLE_BIN_EDGES[index] <= math.atan2(50.0, -200.0) < ANGLE_BIN_EDGES[index + 1]
 
     def test_bin_edges_center_zero_and_pi(self):
@@ -96,16 +103,14 @@ class TestComputeAngles:
 
 
 class TestTraceRealization:
-    """Hand-built one-realization blocks traced through the block reducer.
+    """Hand-built one-realization blocks traced through the block kernels.
 
     With ``coeff_var=0`` every bounce coefficient equals ``coeff_mean``.
     """
 
     def single_point_power(self, mode, x, y):
         interaction = InteractionModel(mode, 10.0, 0.15, -1.17, 0.0)
-        summary = reduce_one(_position_from_distances(200.0, x, y), interaction)
-        assert np.array_equal(summary.mpc_count_histogram, [0, 1])
-        return interaction, summary.power_mean
+        return interaction, power_of(_position_from_distances(200.0, x, y), interaction)
 
     def test_single_reflection_power(self):
         x, y = 350.0, 220.0
@@ -123,16 +128,15 @@ class TestTraceRealization:
         interaction = InteractionModel("scattering", 10.0, 2.0, 1.0, 0.0)
         p1 = _position_from_distances(200.0, 200.0, 50.0)
         p2 = _position_from_distances(200.0, 198.6636703514598, 50.336329648540186)
-        single = reduce_one([p1], interaction, seed=1).power_mean
-        paired = reduce_one([p1, p2], interaction, seed=1).power_mean
+        single = power_of([p1], interaction, seed=1)
+        paired = power_of([p1, p2], interaction, seed=1)
         assert single > 0.0
         assert paired < 1e-12 * single
 
     def test_empty_realization(self):
-        summary = reduce_one(np.empty((0, 2)), seed=2)
-        assert summary.power_mean == 0.0
-        assert np.array_equal(summary.mpc_count_histogram, [1])
-        assert summary.aod_histogram.sum() == summary.aoa_histogram.sum() == 0
+        assert power_of(np.empty((0, 2)), seed=2) == 0.0
+        aod, aoa = _angles(one_realization(np.empty((0, 2))), 200.0)
+        assert aod.sum() == aoa.sum() == 0
 
 
 @given(
@@ -243,8 +247,15 @@ _ALL_SUBSETS = [
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    """Blocks of 1000 realizations, so a run of a few thousand spans several."""
+    """Blocks of 1000 realizations, so a run of a few thousand spans several.
+
+    The kept ToA head is dropped before and after: its key holds no block
+    length, so a head drawn in blocks of 16384 must not serve these runs.
+    """
     monkeypatch.setattr(simulator, "_BLOCK_SIZE", 1_000)
+    simulator._head = None
+    yield
+    simulator._head = None
 
 
 @pytest.mark.usefixtures("small_blocks")
@@ -301,13 +312,17 @@ class TestStatisticSets:
 
     @pytest.mark.parametrize("wanted", _ALL_SUBSETS, ids=lambda w: "+".join(sorted(w)) or "none")
     def test_reducer_draws_coefficients_only_for_power(self, wanted):
+        # the block is one sub-chunk: its positions, then the coefficients
         scenario = make_scenario(gamma=0.5, seed=24)
+        assert simulator._block_length(scenario) >= 500
         rng = substream(24, 0)
         block = sample_block(scenario, 500, rng)
         expected = copy.deepcopy(rng)
+        if wanted & {"power", "angles"}:
+            part = sample_positions(scenario, block, expected)
         if "power" in wanted:
             sigma = math.sqrt(GTU_REFLECTION.coeff_var)
-            for points in (block.short_points, block.tall_points):
+            for points in (part.short_points, part.tall_points):
                 expected.normal(GTU_REFLECTION.coeff_mean, sigma, len(points))
         _reduce_block(block, scenario, GTU_REFLECTION, rng, wanted)
         assert rng.bit_generator.state == expected.bit_generator.state
@@ -379,21 +394,19 @@ class TestToaMemo:
                     assert self._toa(scenarios[gamma], workers=workers) == expected[gamma]
 
     @pytest.mark.parametrize(
-        "fields, n, block_size",
+        "fields, n",
         [
-            ({"d_prime": 250.0}, 3_000, 1_000),
-            ({"short": ScattererClass("short", 500.0, 300.0, 5e-5)}, 3_000, 1_000),
-            ({"tall": ScattererClass("tall", 4100.0, 4000.0, 3e-7)}, 3_000, 1_000),
-            ({"seed": 33}, 3_000, 1_000),
-            ({}, 2_500, 1_000),
-            ({}, 3_000, 500),
+            ({"d_prime": 250.0}, 3_000),
+            ({"short": ScattererClass("short", 500.0, 300.0, 5e-5)}, 3_000),
+            ({"tall": ScattererClass("tall", 4100.0, 4000.0, 3e-7)}, 3_000),
+            ({"seed": 33}, 3_000),
+            ({}, 2_500),
         ],
-        ids=["d_prime", "short", "tall", "seed", "n", "block_size"],
+        ids=["d_prime", "short", "tall", "seed", "n"],
     )
-    def test_key_tells_runs_apart(self, cache, monkeypatch, fields, n, block_size):
+    def test_key_tells_runs_apart(self, cache, fields, n):
         base = make_scenario(seed=32)
         self._toa(base)
-        monkeypatch.setattr(simulator, "_BLOCK_SIZE", block_size)
         other = dataclasses.replace(base, gamma=0.5, **fields)
         assert self._toa(other, n) == _reference(other, n)
 
@@ -455,7 +468,7 @@ class TestToaMemo:
         assert self._toa(scenario, n) == expected
         # the second gamma reuses the head and draws every later block afresh
         assert cache.blocks() is head
-        assert drawn == [(1_000, {"positions": False})] * 3 * simulator._GAMMA_FREE_BLOCKS
+        assert drawn == [(1_000, {})] * 3 * simulator._GAMMA_FREE_BLOCKS
 
     def test_cached_records_read_only(self, cache):
         # The head is shared by every later run and thread, and holds 32
@@ -465,7 +478,7 @@ class TestToaMemo:
         head = cache.blocks()
         assert len(head) == 3
         for block, pick in head:
-            assert block.u is block.n_tall is block.short_points is block.tall_points is None
+            assert block.n_tall is block.short_points is block.tall_points is None
             arrays = (block.gate, block.n_short, block.tall_counts, *pick)
             assert sum(array.nbytes for array in arrays) <= 32 * len(block)
             for array in arrays:
@@ -533,11 +546,13 @@ def _dense(gtu):
     return dataclasses.replace(gtu.scenario(), short=dataclasses.replace(gtu.short, density=7.07))
 
 
-def test_block_memory_bounded(gtu, monkeypatch):
+@pytest.mark.parametrize("wanted", [{"angles"}, {"power"}], ids=["angles", "power"])
+def test_block_memory_bounded(gtu, monkeypatch, wanted):
     # A block of the thin lens's 16384 realizations would need ~29 GiB of
     # positions.  A position-drawing run draws them in sub-chunks of the
     # derived length, ~2**21 points, 32 MiB of positions, and frees each
-    # sub-chunk before it draws the next.
+    # sub-chunk before it draws the next.  The power kernel holds one
+    # coefficient per position and evaluates its phasors a piece at a time.
     scenario = _thin_lens(gtu)
     mu = mean_active_count(scenario, "short") + mean_active_count(scenario, "tall")
     assert simulator._block_length(scenario) * mu <= simulator._BLOCK_POINTS
@@ -554,15 +569,17 @@ def test_block_memory_bounded(gtu, monkeypatch):
     n = 2 * simulator._block_length(scenario) + 1
     tracemalloc.start()
     try:
-        summary = run_experiment(scenario, GTU_REFLECTION, n, statistics={"angles"})
+        summary = run_experiment(scenario, GTU_REFLECTION, n, statistics=wanted)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(parts) == 3
     assert summary.mpc_count_histogram.sum() == n
-    assert summary.aod_histogram.sum() == np.arange(len(summary.mpc_count_histogram)) @ (
-        summary.mpc_count_histogram
-    )
+    if "angles" in wanted:
+        counts = summary.mpc_count_histogram
+        assert summary.aod_histogram.sum() == np.arange(len(counts)) @ counts
+    else:
+        assert summary.power.count == n
     assert peak < 2 * simulator._BLOCK_POINTS * 16
 
 
