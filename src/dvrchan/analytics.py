@@ -231,11 +231,6 @@ def mean_distance_ms(scenario: Scenario, class_kind: str) -> float:
     return _mean_from_cdf(distance_cdf_ms, scenario, class_kind, 1)
 
 
-def _mean_path_length(scenario: Scenario, class_kind: str) -> float:
-    # Independent of gamma and seed, so a sweep computes it once per d'.
-    return _cached_path_length(replace(scenario, gamma=0.0, seed=0), class_kind)
-
-
 @functools.lru_cache(maxsize=256)
 def _cached_path_length(scenario: Scenario, class_kind: str) -> float:
     return mean_distance_bs(scenario, class_kind) + mean_distance_ms(scenario, class_kind)
@@ -255,8 +250,10 @@ def mean_toa(scenario: Scenario) -> float:
         raise NoPathError("gate-closed branch has no short-scatterer paths")
     if gamma > 0.0 and mu_s + mu_t <= 0.0:
         raise NoPathError("gate-open branch has no paths")
-    tau_s = _mean_path_length(scenario, "short") if mu_s > 0.0 else 0.0
-    tau_t = _mean_path_length(scenario, "tall") if mu_t > 0.0 else 0.0
+    # Path lengths are free of gamma and seed, so a sweep computes each once per d'.
+    scenario0 = replace(scenario, gamma=0.0, seed=0)
+    tau_s = _cached_path_length(scenario0, "short") if mu_s > 0.0 else 0.0
+    tau_t = _cached_path_length(scenario0, "tall") if mu_t > 0.0 else 0.0
     expected = 0.0
     if gamma > 0.0:
         expected += gamma * (mu_s * tau_s + mu_t * tau_t) / (mu_s + mu_t)

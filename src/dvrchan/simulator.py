@@ -10,8 +10,10 @@ result.
 from __future__ import annotations
 
 import collections
+import contextlib
 import dataclasses
 import functools
+import itertools
 import math
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -358,45 +360,40 @@ _GAMMA_FREE_BLOCKS = (1 << 17) // _BLOCK_SIZE
 _head = None
 
 
-def _gamma_free(
-    scenario0: Scenario, seed: int, n_realizations: int, index: int
-) -> tuple[RealizationBlock, tuple[np.ndarray, np.ndarray]]:
-    """Block ``index`` of a run (:func:`_block`), and its ToA pick (:func:`_toa_pick`).
-
-    Both are free of ``gamma``, so ``scenario0`` is the scenario with
-    ``gamma`` and ``seed`` set to 0.  The block keeps only what
-    :func:`_reduce_block` reads of it: the gate uniforms and the short and
-    ungated tall counts, as int32 (a config's mean count per class is at
-    most 1e7), 32 bytes per realization with the pick.  Shared by every later
-    run with the same head, so every array is read-only.
-    """
-    block, rng = _block(scenario0, seed, n_realizations, index)
-    pick = _toa_pick(block, scenario0, rng)
-    n_short, tall_counts = block.n_short.astype(np.int32), block.tall_counts.astype(np.int32)
-    block = RealizationBlock(n_short, None, None, None, block.gate, tall_counts)
-    for array in (block.gate, block.n_short, block.tall_counts, *pick):
-        array.flags.writeable = False
-    return block, pick
-
-
 def _toa_head(
-    scenario0: Scenario, seed: int, n_realizations: int, pool: ThreadPoolExecutor | None
+    scenario: Scenario, seed: int, n_realizations: int, pool: ThreadPoolExecutor | None, window: int
 ) -> tuple[tuple[RealizationBlock, tuple[np.ndarray, np.ndarray]], ...]:
-    """The :func:`_gamma_free` blocks ``0, 1, ...`` of a run, at most ``_GAMMA_FREE_BLOCKS``.
+    """Blocks ``0, 1, ...`` of a run (:func:`_block`), at most ``_GAMMA_FREE_BLOCKS``, each
+    with its ToA pick (:func:`_toa_pick`), drawn through :func:`_in_order`.
 
-    Returns the kept head when its key matches, else frees it and draws the
-    next, on ``pool`` when one is given.  The global is read once, so a
-    thread never compares one head's key and returns another's blocks.
+    Both are free of ``gamma``, so the head is kept under the scenario with
+    ``gamma`` and ``seed`` set to 0, the seed and ``n_realizations``, and
+    returned while that key matches; else the kept head is freed first.  A
+    block keeps what :func:`_reduce_block` reads, as read-only arrays shared
+    by later runs: the gate, the pick and the short and ungated tall counts
+    as int32 (a mean count is at most 1e7), 32 bytes per realization.  The
+    global is read once, so a thread never compares one head's key and
+    returns another's blocks.
     """
     global _head
+    scenario0 = dataclasses.replace(scenario, gamma=0.0, seed=0)
     key = (scenario0, seed, n_realizations)
     head = _head
     if head is not None and head[0] == key:
         return head[1]
     head = _head = None
-    draw = functools.partial(_gamma_free, *key)
+
+    def draw(index: int):
+        block, rng = _block(scenario0, seed, n_realizations, index)
+        pick = _toa_pick(block, scenario0, rng)
+        n_short, tall_counts = block.n_short.astype(np.int32), block.tall_counts.astype(np.int32)
+        block = RealizationBlock(n_short, None, None, None, block.gate, tall_counts)
+        for array in (block.gate, block.n_short, block.tall_counts, *pick):
+            array.flags.writeable = False
+        return block, pick
+
     n_head = min(_GAMMA_FREE_BLOCKS, -(-n_realizations // _BLOCK_SIZE))
-    blocks = tuple((map if pool is None else pool.map)(draw, range(n_head)))
+    blocks = tuple(_in_order(pool, draw, range(n_head), window))
     _head = key, blocks
     return blocks
 
@@ -409,13 +406,17 @@ def _block_length(scenario: Scenario) -> int:
 
 
 def _in_order(
-    pool: ThreadPoolExecutor, job: Callable[[int], RunSummary], indices: range, window: int
-) -> Iterator[RunSummary]:
-    """Yield ``job(index)`` for each of ``indices``, run on ``pool``, in order.
+    pool: ThreadPoolExecutor | None, job: Callable[[int], object], indices: range, window: int
+) -> Iterator:
+    """Yield ``job(index)`` for each of ``indices``, in order.
 
-    At most ``window`` jobs are submitted and not yet yielded, so a run of
-    many blocks holds few results at once.
+    Runs the jobs inline, one after another, when ``pool`` is None, else on
+    ``pool`` with at most ``window`` jobs submitted and not yet yielded, so
+    a run of many blocks holds few results at once.
     """
+    if pool is None:
+        yield from map(job, indices)
+        return
     pending = collections.deque()
     for index in indices:
         pending.append(pool.submit(job, index))
@@ -451,11 +452,11 @@ def run_experiment(
     gamma-free arrays of its first ``_GAMMA_FREE_BLOCKS`` blocks as one head
     (see :func:`_toa_head`), kept from the last such run when it had the
     same scenario apart from ``gamma``, seed and ``n_realizations``, and
-    reduces them on the calling thread through the same reducer,
-    with the same result.  The pool, if any, only draws a head that is not kept.
-    One worker runs the other blocks inline, one after another; more run
-    them on a thread pool with at most ``2 * workers`` blocks in flight at
-    once.
+    reduces them on the calling thread through the same reducer, with the
+    same result.  Every block is mapped through :func:`_in_order`: with one
+    worker inline, one after another; with more on one thread pool, with at
+    most ``2 * workers`` blocks in flight at once.  The pool only draws a
+    head that is not kept, and the blocks past the head.
     """
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
@@ -464,22 +465,19 @@ def run_experiment(
         raise ValueError(f"unknown statistics {sorted(statistics - STATISTICS)}")
     if seed is None:
         seed = scenario.seed
-    scenario0 = dataclasses.replace(scenario, gamma=0.0, seed=0)
 
     def job(index: int) -> RunSummary:
         block, rng = _block(scenario, seed, n_realizations, index)
         return _reduce_block(block, scenario, interaction, rng, statistics)
 
-    def summaries(pool: ThreadPoolExecutor | None) -> Iterator[RunSummary]:
+    window = 2 * workers
+    pooled = ThreadPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+    with pooled as pool:
         head = ()
         if statistics == {"toa"}:
-            head = _toa_head(scenario0, seed, n_realizations, pool)
-        for block, pick in head:
-            yield _reduce_block(block, scenario, interaction, None, statistics, pick)
+            head = _toa_head(scenario, seed, n_realizations, pool, window)
+        cached = (_reduce_block(b, scenario, interaction, None, statistics, p) for b, p in head)
         rest = range(len(head), -(-n_realizations // _BLOCK_SIZE))
-        yield from map(job, rest) if pool is None else _in_order(pool, job, rest, 2 * workers)
-
-    if workers == 1:
-        return functools.reduce(RunSummary.merge, summaries(None))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return functools.reduce(RunSummary.merge, summaries(pool))
+        return functools.reduce(
+            RunSummary.merge, itertools.chain(cached, _in_order(pool, job, rest, window))
+        )

@@ -176,7 +176,7 @@ class TestGammaFreeStage:
     """A block's counts, gate uniforms and child stream are free of ``gamma``.
 
     The simulator's ToA pick (``simulator._toa_pick``) reads only these, so
-    its gamma-free cache (``simulator._gamma_free``) keeps them and the pick
+    its gamma-free head (``simulator._toa_head``) keeps them and the pick
     and reuses them across ``gamma``.
     """
 

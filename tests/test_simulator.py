@@ -442,7 +442,8 @@ class TestToaMemo:
             sys.setswitchinterval(interval)
         assert got == expected
 
-    def test_capacity(self, cache, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_capacity(self, cache, monkeypatch, workers):
         # The preset's toa-sweep runs (1e5 realizations) fit the head.
         assert simulator._GAMMA_FREE_BLOCKS * _BLOCK_SIZE >= 100_000
         # a run of four times the head's length: blocks past it are sampled whole
@@ -455,7 +456,7 @@ class TestToaMemo:
         )
         n = 4 * simulator._GAMMA_FREE_BLOCKS * 1_000
         expected = _reference(scenario, n)
-        self._toa(dataclasses.replace(scenario, gamma=0.22), n)
+        self._toa(dataclasses.replace(scenario, gamma=0.22), n, workers=workers)
         head = cache.blocks()
         assert [len(block) for block, _ in head] == [1_000] * simulator._GAMMA_FREE_BLOCKS
         drawn = []
@@ -465,7 +466,7 @@ class TestToaMemo:
             "sample_block",
             lambda s, size, rng, **k: drawn.append((size, k)) or sample(s, size, rng, **k),
         )
-        assert self._toa(scenario, n) == expected
+        assert self._toa(scenario, n, workers=workers) == expected
         # the second gamma reuses the head and draws every later block afresh
         assert cache.blocks() is head
         assert drawn == [(1_000, {})] * 3 * simulator._GAMMA_FREE_BLOCKS
@@ -504,6 +505,25 @@ class TestToaMemo:
         submitted.clear()
         assert self._toa(warm, workers=2) == expected[warm]
         assert submitted == []
+
+    def test_one_worker_builds_no_pool(self, cache, monkeypatch):
+        # One worker maps every block inline, head or not, cold or warm.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("one worker built a thread pool")
+
+        scenario = make_scenario(gamma=0.22, seed=37)
+        expected = {
+            frozenset(wanted): run_experiment(scenario, GTU_REFLECTION, 3_000, statistics=wanted)
+            for wanted in ({"toa"}, set(), {"power"}, {"angles"})
+        }
+        cache.cache_clear()
+        monkeypatch.setattr(simulator, "ThreadPoolExecutor", no_pool)
+        for wanted in ({"toa"}, {"toa"}, set(), {"power"}, {"angles"}):
+            got = run_experiment(scenario, GTU_REFLECTION, 3_000, workers=1, statistics=wanted)
+            reference = expected[frozenset(wanted)]
+            assert _toa_fields(got) == _toa_fields(reference)
+            assert got.power == reference.power
+            assert np.array_equal(got.aod_histogram, reference.aod_histogram)
 
     def test_one_head_alive(self, cache, monkeypatch):
         # The kept head is freed before the next one is drawn.
