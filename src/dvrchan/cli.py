@@ -66,7 +66,7 @@ def _pmf_support(scenario) -> np.ndarray:
     return np.unique(np.concatenate(windows))
 
 
-def cmd_pmf(cfg: RunConfig, seed: int, n: int, workers: int, out: str) -> int:
+def cmd_pmf(cfg: RunConfig, seed: int, n: int, workers: int) -> tuple[tuple, list]:
     scenario = cfg.scenario(seed=seed)
     interaction = next(iter(cfg.interactions.values()))
     summary = run_experiment(scenario, interaction, n, seed, workers, statistics=set())
@@ -81,11 +81,10 @@ def cmd_pmf(cfg: RunConfig, seed: int, n: int, workers: int, out: str) -> int:
         (int(k), float(p), float(e), float(se))
         for k, p, e, se in zip(support, analytic, empirical, stderr)
     ]
-    _write_csv(out, cfg, seed, "pmf", ("n", "analytic_pmf", "empirical_pmf", "stderr"), rows)
-    return 0
+    return ("n", "analytic_pmf", "empirical_pmf", "stderr"), rows
 
 
-def cmd_toa_sweep(cfg: RunConfig, seed: int, n: int, workers: int, out: str) -> int:
+def cmd_toa_sweep(cfg: RunConfig, seed: int, n: int, workers: int) -> tuple[tuple, list]:
     interaction = next(iter(cfg.interactions.values()))
     rows = []
     for d_prime in cfg.toa_d_prime:
@@ -108,8 +107,7 @@ def cmd_toa_sweep(cfg: RunConfig, seed: int, n: int, workers: int, out: str) -> 
                 )
             )
     header = ("d_prime_m", "gamma", "analytic_mean_toa_us", "empirical_mean_toa_us", "stderr_us")
-    _write_csv(out, cfg, seed, "toa-sweep", header, rows)
-    return 0
+    return header, rows
 
 
 def _mean_powers(scenario, interaction, seed: int, n: int, workers: int):
@@ -131,7 +129,7 @@ def _mean_powers(scenario, interaction, seed: int, n: int, workers: int):
     return powers
 
 
-def cmd_power(cfg: RunConfig, seed: int, n: int, workers: int, out: str) -> int:
+def cmd_power(cfg: RunConfig, seed: int, n: int, workers: int) -> tuple[tuple, list]:
     rows = []
     for d_prime in cfg.power_d_prime:
         scenario = cfg.scenario(d_prime=d_prime, seed=seed)
@@ -145,11 +143,10 @@ def cmd_power(cfg: RunConfig, seed: int, n: int, workers: int, out: str) -> int:
         "simulated_mean_w",
         "simulated_stderr_w",
     )
-    _write_csv(out, cfg, seed, "power", header, rows)
-    return 0
+    return header, rows
 
 
-def cmd_angles(cfg: RunConfig, seed: int, n: int, workers: int, out: str) -> int:
+def cmd_angles(cfg: RunConfig, seed: int, n: int, workers: int) -> tuple[tuple, list]:
     scenario = cfg.scenario(seed=seed)
     interaction = next(iter(cfg.interactions.values()))
     summary = run_experiment(scenario, interaction, n, seed, workers, statistics={"angles"})
@@ -158,8 +155,7 @@ def cmd_angles(cfg: RunConfig, seed: int, n: int, workers: int, out: str) -> int
         (float(c), float(a), float(b))
         for c, a, b in zip(centers, summary.aod_density, summary.aoa_density)
     ]
-    _write_csv(out, cfg, seed, "angles", ("bin_center_rad", "aod_density", "aoa_density"), rows)
-    return 0
+    return ("bin_center_rad", "aod_density", "aoa_density"), rows
 
 
 def _check_geometry_continuity(rng) -> tuple[bool, str]:
@@ -297,8 +293,9 @@ def _int_in(minimum: int, maximum: int | None = None):
     return integer
 
 
-# Each command's handler, ``realizations`` key and help line.  ``validate``
-# has no key: it writes no CSV, and ``--realizations`` is its KS sample size.
+# Each command's handler, ``realizations`` key and help line.  A keyed handler
+# returns the header and rows that ``main`` writes as its CSV.  ``validate`` has
+# no key: it writes no CSV, and ``--realizations`` is its KS sample size.
 _COMMANDS = {
     "pmf": (cmd_pmf, "pmf", "multipath-count PMF, analytic vs empirical"),
     "toa-sweep": (cmd_toa_sweep, "toa", "mean time of arrival over a distance/gamma grid"),
@@ -344,7 +341,9 @@ def main(argv=None) -> int:
         if key is None:
             return handler(cfg, seed, args.realizations, args.workers)
         n = args.realizations or cfg.realizations[key]
-        return handler(cfg, seed, n, args.workers, args.out)
+        header, rows = handler(cfg, seed, n, args.workers)
+        _write_csv(args.out, cfg, seed, args.command, header, rows)
+        return 0
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1

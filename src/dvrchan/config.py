@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .analytics import SPEED_OF_LIGHT, InteractionModel
+from .analytics import MODES, SPEED_OF_LIGHT, InteractionModel
 from .pointprocess import Scenario, ScattererClass
 
 __all__ = ["ConfigError", "RunConfig", "GTU_PRESET", "load_config", "config_hash"]
@@ -220,7 +220,7 @@ def load_config(path: str | Path | None = None) -> RunConfig:
         raise ConfigError("interaction.modes", "must be a non-empty list")
     interactions = {}
     for mode in modes:
-        if mode not in ("reflection", "scattering"):
+        if mode not in MODES:
             raise ConfigError("interaction.modes", f"unknown mode {mode!r}")
         coeff = inter[mode]
         interactions[mode] = InteractionModel(

@@ -133,21 +133,17 @@ class RunSummary:
             raise ValueError("cannot merge summaries from different configurations")
         if self.statistics != other.statistics:
             raise ValueError("cannot merge summaries holding different statistics")
-        width = max(len(self.mpc_count_histogram), len(other.mpc_count_histogram))
-        hist = np.zeros(width, dtype=np.int64)
-        hist[: len(self.mpc_count_histogram)] += self.mpc_count_histogram
-        hist[: len(other.mpc_count_histogram)] += other.mpc_count_histogram
         return RunSummary(
             self.gamma,
             self.mode,
             self.statistics,
             n_gate_open=self.n_gate_open + other.n_gate_open,
-            mpc_count_histogram=hist,
+            mpc_count_histogram=_add_counts(self.mpc_count_histogram, other.mpc_count_histogram),
             tau_open=self.tau_open.merge(other.tau_open),
             tau_closed=self.tau_closed.merge(other.tau_closed),
             power=self.power.merge(other.power),
-            aod_histogram=self.aod_histogram + other.aod_histogram,
-            aoa_histogram=self.aoa_histogram + other.aoa_histogram,
+            aod_histogram=_add_counts(self.aod_histogram, other.aod_histogram),
+            aoa_histogram=_add_counts(self.aoa_histogram, other.aoa_histogram),
         )
 
     @property
@@ -193,6 +189,15 @@ class RunSummary:
     @property
     def aoa_density(self) -> np.ndarray:
         return self._angle_density(self.aoa_histogram)
+
+
+def _add_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of two count histograms, the shorter one zero-padded."""
+    if len(a) < len(b):
+        a, b = b, a
+    total = a.copy()
+    total[: len(b)] += b
+    return total
 
 
 def _histogram_angles(angles: np.ndarray) -> np.ndarray:
@@ -283,7 +288,7 @@ def _reduce_block(
     scenario: Scenario,
     interaction: InteractionModel,
     rng: np.random.Generator | None,
-    statistics: frozenset = STATISTICS,
+    statistics: frozenset,
     pick: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> RunSummary:
     """Summarize one block, computing only the requested ``statistics``.
@@ -300,44 +305,32 @@ def _reduce_block(
     realizations, in order: from ``rng``, a sub-chunk's short positions, its
     tall positions (:func:`sample_positions`) and then, for ``"power"``, its
     bounce coefficients (:func:`_power`).  Each sub-chunk's power moments and
-    angle histograms merge into the block's.
+    angle counts merge into the block's summary as in :meth:`RunSummary.merge`.
     """
     # The gate uniforms are sorted: the first n_open realizations are gate-open.
     n_open = int(np.searchsorted(block.gate, scenario.gamma))
     counts = block.n_short.copy()
     counts[:n_open] += block.tall_counts[:n_open]
-    computed = {}
+    summary = RunSummary(scenario.gamma, interaction.mode, statistics, n_open, np.bincount(counts))
 
     if "toa" in statistics:
         closed, open_ = _toa_pick(block, scenario, rng) if pick is None else pick
-        computed["tau_open"], computed["tau_closed"] = (
+        summary.tau_open, summary.tau_closed = (
             Moments.of(tau[~np.isnan(tau)]) for tau in (open_[:n_open], closed[n_open:])
         )
 
     if statistics & {"power", "angles"}:
         step = _block_length(scenario)
-        power, aod, aoa = Moments(), 0, 0
         for lo in range(0, len(block), step):
             part = sample_positions(scenario, block, rng, slice(lo, lo + step))
             if "power" in statistics:
-                power = power.merge(_power(part, scenario, interaction, rng))
+                summary.power = summary.power.merge(_power(part, scenario, interaction, rng))
             if "angles" in statistics:
-                part_aod, part_aoa = _angles(part, scenario.d_prime)
-                aod, aoa = aod + part_aod, aoa + part_aoa
+                aod, aoa = _angles(part, scenario.d_prime)
+                summary.aod_histogram = _add_counts(summary.aod_histogram, aod)
+                summary.aoa_histogram = _add_counts(summary.aoa_histogram, aoa)
             del part  # free a sub-chunk's positions before the next one's are drawn
-        if "power" in statistics:
-            computed["power"] = power
-        if "angles" in statistics:
-            computed["aod_histogram"], computed["aoa_histogram"] = aod, aoa
-
-    return RunSummary(
-        scenario.gamma,
-        interaction.mode,
-        statistics,
-        n_open,
-        np.bincount(counts),
-        **computed,
-    )
+    return summary
 
 
 def _block(

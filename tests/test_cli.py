@@ -295,6 +295,29 @@ class TestGoldenOutput:
         kept = b"".join(ln for ln in lines if not ln.startswith(b"# version="))
         assert hashlib.md5(kept).hexdigest() == self.DIGESTS[command, realizations]
 
+    # At d' = 0.1 km a block of 35 realizations draws its positions in three
+    # sub-chunks, of 17, 17 and 1 realizations, whose power moments and angle
+    # counts merge into the block's summary.
+    SUB_CHUNKED = {
+        "scenario": {"d_prime": 0.1, "short": {"density": 4.2, "density_exponent": -1}},
+        "sweep": {"power_d_prime": [0.1]},
+    }
+    SUB_CHUNKED_DIGESTS = {
+        "power": "538e14ec5d1a6f85110aacdee06e34fe",
+        "angles": "0f83ed75ef6a0a6e8aceae87d2ec4346",
+    }
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("command", list(SUB_CHUNKED_DIGESTS))
+    def test_sub_chunked_csv_digest(self, tmp_path, command, workers):
+        out = tmp_path / "out.csv"
+        config = write_config(tmp_path, self.SUB_CHUNKED)
+        argv = [command, "--config", config, "--realizations", "35", "--workers", workers]
+        assert main(argv + ["--out", str(out)]) == 0
+        lines = out.read_bytes().splitlines(keepends=True)
+        kept = b"".join(ln for ln in lines if not ln.startswith(b"# version="))
+        assert hashlib.md5(kept).hexdigest() == self.SUB_CHUNKED_DIGESTS[command]
+
 
 class TestImportCost:
     def test_scipy_loaded_only_by_pmf_and_validate(self, tmp_path):
