@@ -29,16 +29,13 @@ from .geometry import (
     LensSpec,
     density_kernel,
     lens_area,
-    lens_area_partial,
     sample_uniform_in_lens,
     support_bounds,
 )
 from .pointprocess import (
-    Realization,
     Scenario,
     ScattererClass,
     mean_active_count,
-    sample_realization,
     substream,
 )
 from .simulator import RunSummary, run_experiment

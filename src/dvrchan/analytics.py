@@ -15,10 +15,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import (
-    KernelDomainError,
     LensSpec,
+    _density_kernel,
     _lens_area,
-    density_kernel,
     distances,
     lens_area,
     sample_uniform_in_lens,
@@ -262,11 +261,13 @@ def mean_toa(scenario: Scenario) -> float:
     return expected / SPEED_OF_LIGHT
 
 
-def joint_pdf(x: float, y: float, scenario: Scenario, class_kind: str) -> float:
+def joint_pdf(x, y, scenario: Scenario, class_kind: str):
     """Joint density of the BS and MS distances of an active scatterer.
 
     Zero outside the support ``0 < x < v1``, ``0 < y < v2`` and outside the
-    triangle ``|x - y| < d' < x + y``, which the kernel's domain enforces.
+    triangle ``|x - y| < d' < x + y``, where the kernel is 0.  Accepts
+    scalar or array ``x`` and ``y``, broadcast together; scalars return a
+    float.
 
     Raises:
         DegenerateScenarioError: at ``d' = 0``, where the BS and MS coincide,
@@ -278,12 +279,11 @@ def joint_pdf(x: float, y: float, scenario: Scenario, class_kind: str) -> float:
         )
     cls = scenario.scatterer_class(class_kind)
     area = _full_area(scenario, class_kind)
-    if not (0.0 < x < cls.v1 and 0.0 < y < cls.v2):
-        return 0.0
-    try:
-        return density_kernel(scenario.d_prime, x, y) / area
-    except KernelDomainError:
-        return 0.0
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    box = (0.0 < x) & (x < cls.v1) & (0.0 < y) & (y < cls.v2)
+    pdf = np.zeros(x.shape)
+    pdf[box] = _density_kernel(scenario.d_prime, x[box], y[box]) / area
+    return float(pdf) if pdf.ndim == 0 else pdf
 
 
 def _phasors(scenario, class_kind, interaction, n_mc, rng):

@@ -28,8 +28,9 @@ from .analytics import (
     mpc_pmf,
 )
 from .config import MAX_REALIZATIONS, ConfigError, RunConfig, load_config
-from .geometry import EmptyRegionError, LensSpec, distances, lens_area, sample_uniform_in_lens
-from .pointprocess import mean_active_count, sample_realization, substream
+from .geometry import EmptyRegionError, _lens_area, distances, sample_uniform_in_lens
+from .geometry import lens_area  # noqa: F401 (perfbench/tracing.py patches cli.lens_area)
+from .pointprocess import mean_active_count, sample_block, substream
 from .simulator import ANGLE_BIN_EDGES, run_experiment
 
 __all__ = ["main"]
@@ -123,7 +124,7 @@ def _mean_powers(scenario, interaction, seed: int, n: int, workers: int):
         scenario, interaction, n_mc=max(10 * n, 10_000), rng=substream(seed, MAX_REALIZATIONS)
     )
     summary = run_experiment(scenario, interaction, n, seed, workers, statistics={"power"})
-    powers = theory, theory_se, summary.power_mean, summary.power_stderr
+    powers = theory, theory_se, summary.power.mean, summary.power.stderr
     if not all(map(math.isfinite, powers[: 3 if n < 2 else 4])):
         raise OverflowError(f"mean power of {interaction.mode} at d' = {scenario.d_prime:g} m")
     return powers
@@ -150,6 +151,10 @@ def cmd_angles(cfg: RunConfig, seed: int, n: int, workers: int) -> tuple[tuple, 
     scenario = cfg.scenario(seed=seed)
     interaction = next(iter(cfg.interactions.values()))
     summary = run_experiment(scenario, interaction, n, seed, workers, statistics={"angles"})
+    if summary.aod_histogram.sum() == 0:
+        raise DegenerateScenarioError(
+            f"angles drew 0 multipath components in {n} realizations; its densities need at least 1"
+        )
     centers = 0.5 * (ANGLE_BIN_EDGES[:-1] + ANGLE_BIN_EDGES[1:])
     rows = [
         (float(c), float(a), float(b))
@@ -159,19 +164,14 @@ def cmd_angles(cfg: RunConfig, seed: int, n: int, workers: int) -> tuple[tuple, 
 
 
 def _check_geometry_continuity(rng) -> tuple[bool, str]:
-    worst = 0.0
-    for _ in range(200):
-        a = rng.uniform(0.5, 500.0)
-        b = rng.uniform(0.5, 500.0)
-        eps = 1e-9 * max(a, b)
-        # Contained boundary: |a - b| = d0.
-        d0 = abs(a - b)
-        if d0 > eps:
-            inner = lens_area(LensSpec(d0 + eps, a, b))
-            worst = max(worst, abs(inner - math.pi * min(a, b) ** 2) / (math.pi * min(a, b) ** 2))
-        # Disjoint boundary: a + b = d0.
-        outer = lens_area(LensSpec(a + b - eps, a, b))
-        worst = max(worst, outer / (math.pi * min(a, b) ** 2))
+    # 200 radius pairs, each area taken just past both tangencies: contained
+    # (d0 = |a - b|, where |a - b| exceeds the step) and disjoint (d0 = a + b).
+    a, b = rng.uniform(0.5, 500.0, (200, 2)).T
+    eps = 1e-9 * np.maximum(a, b)
+    contained = math.pi * np.minimum(a, b) ** 2
+    inner = np.abs(_lens_area(np.abs(a - b) + eps, a, b) - contained) / contained
+    outer = _lens_area(a + b - eps, a, b) / contained
+    worst = float(max(np.max(inner, where=np.abs(a - b) > eps, initial=0.0), np.max(outer)))
     return worst < 1e-6, f"max relative discontinuity {worst:.3g}"
 
 
@@ -258,8 +258,8 @@ def cmd_validate(cfg: RunConfig, seed: int, n: int | None, workers: int) -> int:
     checks.append(("pmf-normalization",) + _check_pmf_normalization(scenario))
     if mpc_mean(scenario) <= 0.0:
         # Degenerate scenario: confirm the no-path handling itself.
-        realization = sample_realization(scenario, substream(seed, 3000))
-        empty = len(realization.short_points) == 0 and len(realization.tall_points) == 0
+        block = sample_block(scenario, 1, substream(seed, 3000))
+        empty = block.n_short[0] == 0 and block.n_tall[0] == 0
         checks.append(("degenerate-realizations-empty", empty, "sampled realization is empty"))
         try:
             mean_toa(scenario)

@@ -23,7 +23,6 @@ __all__ = [
     "EmptyRegionError",
     "LensSpec",
     "lens_area",
-    "lens_area_partial",
     "density_kernel",
     "support_bounds",
     "lens_bounding_box",
@@ -77,19 +76,6 @@ def lens_area(spec: LensSpec) -> float:
     return float(_lens_area(spec.d0, spec.a, spec.b))
 
 
-def lens_area_partial(d0: float, a: float, b: float) -> float:
-    """Overlap area in the genuine partial-overlap regime.
-
-    Requires ``|a - b| <= d0 <= a + b`` with ``d0 > 0``.
-    """
-    _require_positive_finite(d0=d0, a=a, b=b)
-    if abs(a - b) > d0 or d0 > a + b:
-        raise ValueError(
-            f"(d0={d0}, a={a}, b={b}) is outside the partial-overlap regime"
-        )
-    return float(_lens_area(d0, a, b))
-
-
 def _lens_area(d0, a, b):
     """Elementwise overlap area of every lens the broadcast arguments describe.
 
@@ -131,8 +117,8 @@ def _lens_area(d0, a, b):
     return np.where(disjoint, 0.0, np.where(f1 == 0.0, math.pi * (b * b), partial))
 
 
-def density_kernel(d_prime: float, x: float, y: float) -> float:
-    """Mixed second partial of the overlap area with respect to both radii.
+def _density_kernel(d_prime, x, y):
+    """Elementwise mixed second partial of the overlap area with respect to both radii.
 
     The raw mixed partial is a sum of three inverse-square-root terms whose
     leading singularities cancel; the sum collapses algebraically to
@@ -142,21 +128,31 @@ def density_kernel(d_prime: float, x: float, y: float) -> float:
     growth).  The radicand is evaluated factored,
     ``(x + d' - y)(x + d' + y)(y - x + d')(y + x - d')``, which is exactly 0 on
     the support edges even when ``d' << x``, where the expanded form cancels.
-    Defined only where the radicand is strictly positive, i.e. strictly
-    inside the triangle region ``|x - y| < d' < x + y``.
+    The kernel is 0 where the radicand is at most ``_RADICAND_SLACK (d' max(x,
+    y))^2``, that is outside the triangle ``|x - y| < d' < x + y``.  The
+    radicand is 16 times the squared area of the triangle of sides ``d'``,
+    ``x`` and ``y``, at most ``4 x^2 y^2``, so inside the kernel is at least 2.
+    """
+    scale = (d_prime * np.maximum(x, y)) ** 2
+    radicand = (x + d_prime - y) * (x + d_prime + y) * (y - x + d_prime) * (y + x - d_prime)
+    inside = radicand > _RADICAND_SLACK * scale
+    return np.where(inside, 4.0 * x * y / np.sqrt(np.where(inside, radicand, 1.0)), 0.0)
+
+
+def density_kernel(d_prime: float, x: float, y: float) -> float:
+    """The density kernel (:func:`_density_kernel`) at one point.
 
     Raises:
-        KernelDomainError: outside that region (callers treat the density
-            as zero there).
+        KernelDomainError: outside the triangle region, where the kernel is
+            0 (callers treat the density as zero there).
     """
     _require_positive_finite(d_prime=d_prime, x=x, y=y)
-    scale = (d_prime * max(x, y)) ** 2
-    radicand = (x + d_prime - y) * (x + d_prime + y) * (y - x + d_prime) * (y + x - d_prime)
-    if radicand <= _RADICAND_SLACK * scale:
+    value = float(_density_kernel(d_prime, x, y))
+    if value == 0.0:
         raise KernelDomainError(
             f"kernel undefined at (d'={d_prime}, x={x}, y={y}): radicand <= 0"
         )
-    return 4.0 * x * y / math.sqrt(radicand)
+    return value
 
 
 def support_bounds(spec: LensSpec) -> tuple[float, float, float, float]:

@@ -19,11 +19,9 @@ from .geometry import LensSpec, lens_area, sample_uniform_in_lens
 __all__ = [
     "ScattererClass",
     "Scenario",
-    "Realization",
     "RealizationBlock",
     "substream",
     "mean_active_count",
-    "sample_realization",
     "sample_block",
     "sample_class_points",
     "sample_positions",
@@ -88,15 +86,6 @@ class Scenario:
         if kind == "tall":
             return self.tall
         raise ValueError(f"unknown class kind {kind!r}")
-
-
-@dataclass
-class Realization:
-    """One draw of the process: gate state and active scatterer positions."""
-
-    u: int
-    short_points: np.ndarray
-    tall_points: np.ndarray
 
 
 @dataclass
@@ -252,9 +241,3 @@ def sample_positions(
     short_points = sample_class_points(scenario, scenario.short, int(n_short.sum()), rng)
     tall_points = sample_class_points(scenario, scenario.tall, int(n_tall.sum()), rng)
     return RealizationBlock(n_short, n_tall, short_points, tall_points, gate, tall_counts)
-
-
-def sample_realization(scenario: Scenario, rng: np.random.Generator) -> Realization:
-    """Sample a single realization of the scatterer process."""
-    block = sample_positions(scenario, sample_block(scenario, 1, rng), rng)
-    return Realization(int(block.gate[0] < scenario.gamma), block.short_points, block.tall_points)

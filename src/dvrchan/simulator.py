@@ -168,19 +168,9 @@ class RunSummary:
                 var += (weight * branch.stderr) ** 2
         return tau / SPEED_OF_LIGHT, math.sqrt(var) / SPEED_OF_LIGHT
 
-    @property
-    def power_mean(self) -> float:
-        return self.power.mean
-
-    @property
-    def power_stderr(self) -> float:
-        return self.power.stderr
-
     def _angle_density(self, counts: np.ndarray) -> np.ndarray:
-        total = counts.sum()
-        if total == 0:
-            return np.zeros_like(counts, dtype=float)
-        return counts / (total * _BIN_WIDTH)
+        """Counts per unit angle over their total; NaN in every bin if none was counted."""
+        return counts / (counts.sum() * _BIN_WIDTH)
 
     @property
     def aod_density(self) -> np.ndarray:
@@ -272,15 +262,12 @@ def _power(
     return Moments.of(interaction.k0 * (re * re + im * im))
 
 
-def _angles(part: RealizationBlock, d_prime: float) -> tuple[np.ndarray, np.ndarray]:
-    """Departure and arrival angle histograms of ``part``'s positions, a class at a time."""
-    aod = aoa = 0
-    for points in (part.short_points, part.tall_points):
-        x, y = points[:, 0], points[:, 1]
-        aod = aod + _histogram_angles(np.arctan2(y, x))
-        angles = np.subtract(x, d_prime)
-        aoa = aoa + _histogram_angles(np.arctan2(y, angles, out=angles))
-    return aod, aoa
+def _angles(points: np.ndarray, d_prime: float) -> tuple[np.ndarray, np.ndarray]:
+    """Departure and arrival angle histograms of ``(n, 2)`` scatterer positions."""
+    x, y = points[:, 0], points[:, 1]
+    aod = _histogram_angles(np.arctan2(y, x))
+    angles = np.subtract(x, d_prime)
+    return aod, _histogram_angles(np.arctan2(y, angles, out=angles))
 
 
 def _reduce_block(
@@ -304,8 +291,9 @@ def _reduce_block(
     positions.  It draws them here, in sub-chunks of :func:`_block_length`
     realizations, in order: from ``rng``, a sub-chunk's short positions, its
     tall positions (:func:`sample_positions`) and then, for ``"power"``, its
-    bounce coefficients (:func:`_power`).  Each sub-chunk's power moments and
-    angle counts merge into the block's summary as in :meth:`RunSummary.merge`.
+    bounce coefficients (:func:`_power`).  Each sub-chunk's power moments, and
+    the angle counts of each of its classes, merge into the block's summary
+    as in :meth:`RunSummary.merge`.
     """
     # The gate uniforms are sorted: the first n_open realizations are gate-open.
     n_open = int(np.searchsorted(block.gate, scenario.gamma))
@@ -326,9 +314,10 @@ def _reduce_block(
             if "power" in statistics:
                 summary.power = summary.power.merge(_power(part, scenario, interaction, rng))
             if "angles" in statistics:
-                aod, aoa = _angles(part, scenario.d_prime)
-                summary.aod_histogram = _add_counts(summary.aod_histogram, aod)
-                summary.aoa_histogram = _add_counts(summary.aoa_histogram, aoa)
+                for points in (part.short_points, part.tall_points):
+                    aod, aoa = _angles(points, scenario.d_prime)
+                    summary.aod_histogram = _add_counts(summary.aod_histogram, aod)
+                    summary.aoa_histogram = _add_counts(summary.aoa_histogram, aoa)
             del part  # free a sub-chunk's positions before the next one's are drawn
     return summary
 

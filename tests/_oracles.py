@@ -6,11 +6,12 @@ and integrals from Gauss-Legendre quadrature with an endpoint-taming cosine
 substitution.
 """
 
+import functools
 import math
 
 import numpy as np
 
-from dvrchan.geometry import EmptyRegionError, lens_area, lens_area_partial, lens_bounding_box
+from dvrchan.geometry import EmptyRegionError, _lens_area, lens_area, lens_bounding_box
 
 
 def mc_lens_area(d0, a, b, n, rng):
@@ -28,11 +29,17 @@ def mc_lens_area(d0, a, b, n, rng):
 def fd_mixed_partial(d_prime, x, y, h=1e-2):
     """Central finite-difference mixed partial of the partial-overlap area."""
     return (
-        lens_area_partial(d_prime, x + h, y + h)
-        - lens_area_partial(d_prime, x + h, y - h)
-        - lens_area_partial(d_prime, x - h, y + h)
-        + lens_area_partial(d_prime, x - h, y - h)
+        _lens_area(d_prime, x + h, y + h)
+        - _lens_area(d_prime, x + h, y - h)
+        - _lens_area(d_prime, x - h, y + h)
+        + _lens_area(d_prime, x - h, y - h)
     ) / (4.0 * h * h)
+
+
+@functools.lru_cache(maxsize=None)
+def _leggauss(n_nodes):
+    """Gauss-Legendre nodes and weights, built once per node count."""
+    return np.polynomial.legendre.leggauss(n_nodes)
 
 
 def _cos_nodes(lo, hi, t, w):
@@ -53,15 +60,18 @@ def joint_support(scenario, class_kind):
 
 
 def inner_integral(pdf, scenario, class_kind, x, n_nodes=160):
-    """Integrate ``pdf(x, y)`` over the admissible y range at fixed x."""
+    """Integrate ``pdf(x, y)`` over the admissible y range at fixed x.
+
+    ``pdf`` takes the array of y nodes at once; the weighted values are
+    summed in node order.
+    """
     cls, d, _, _ = joint_support(scenario, class_kind)
     y_lo = abs(d - x)
     y_hi = min(cls.v2, x + d)
     if y_hi <= y_lo:
         return 0.0
-    t, w = np.polynomial.legendre.leggauss(n_nodes)
-    ys, ws = _cos_nodes(y_lo, y_hi, t, w)
-    return float(sum(wy * pdf(x, float(yv)) for yv, wy in zip(ys, ws)))
+    ys, ws = _cos_nodes(y_lo, y_hi, *_leggauss(n_nodes))
+    return float(sum((ws * pdf(x, ys)).tolist()))
 
 
 def double_integral(pdf, scenario, class_kind, n_inner=160, n_outer=160):
@@ -72,10 +82,9 @@ def double_integral(pdf, scenario, class_kind, n_inner=160, n_outer=160):
         if x_min < c < x_max:
             corners.add(c)
     corners = sorted(corners)
-    t, w = np.polynomial.legendre.leggauss(n_outer)
     total = 0.0
     for lo, hi in zip(corners[:-1], corners[1:]):
-        xs, wxs = _cos_nodes(lo, hi, t, w)
+        xs, wxs = _cos_nodes(lo, hi, *_leggauss(n_outer))
         for xv, wx in zip(xs, wxs):
             total += wx * inner_integral(pdf, scenario, class_kind, float(xv), n_inner)
     return total
@@ -177,7 +186,7 @@ def lens_angle_bin_areas(spec, center_x, edges, n_nodes=32):
     edges = np.asarray(edges, dtype=float)
     period = edges[-1] - edges[0]
     kinks = [edges[0] + (p - edges[0]) % period for p in _ray_breakpoints(spec, center_x)]
-    t, w = np.polynomial.legendre.leggauss(n_nodes)
+    t, w = _leggauss(n_nodes)
     areas = np.zeros(len(edges) - 1)
     for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
         cuts = sorted({lo, hi, *(k for k in kinks if lo < k < hi)})

@@ -268,6 +268,26 @@ class TestJointPdf:
         for x in np.linspace(999.0, 1001.0, 201):
             assert dv.joint_pdf(x, x + 6.5e-4, scenario, "tall") == 0.0
 
+    def test_array_matches_scalar_calls(self, gtu_scenario):
+        # inside; outside the box; outside the triangle; on the edges
+        # x + y = d', x - y = d' and y - x = d'; at a negative distance
+        x = np.array([450.0, 100.0, 600.0, 100.0, 400.0, 150.0, 400.0, 50.0, -1.0])
+        y = np.array([280.0, 150.0, 100.0, 600.0, 100.0, 50.0, 200.0, 250.0, 100.0])
+        # d' << x: on the edge y = x + d' and inside, at y = x
+        thin = make_scenario(d_prime=6.5e-4)
+        x_thin = np.linspace(999.0, 1001.0, 201)
+        for scenario, kind, xs, ys in (
+            (gtu_scenario, "short", x, y),
+            (thin, "tall", x_thin, x_thin + 6.5e-4),
+            (thin, "tall", x_thin, x_thin),
+        ):
+            values = dv.joint_pdf(xs, ys, scenario, kind)
+            scalars = [dv.joint_pdf(float(a), float(b), scenario, kind) for a, b in zip(xs, ys)]
+            assert all(isinstance(value, float) for value in scalars)
+            assert values.tolist() == scalars
+        assert np.count_nonzero(dv.joint_pdf(x, y, gtu_scenario, "short")) == 2
+        assert np.all(dv.joint_pdf(x_thin, x_thin, thin, "tall") > 0.0)
+
     def test_coincident_ends_have_no_density(self):
         scenario = make_scenario(d_prime=0.0)
         for x, y in ((100.0, 100.0), (100.0, 200.0), (600.0, 100.0)):

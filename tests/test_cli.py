@@ -41,6 +41,15 @@ def read_csv(path):
 # Realization counts that keep a command at any config fast.
 _FEW = {"pmf": 50, "toa": 50, "power": 50, "angles": 50}
 
+# ~0.2 short and ~0.02 tall scatterers per realization
+SPARSE = {
+    "scenario": {
+        "short": {"density": 1.0, "density_exponent": -7},
+        "tall": {"density": 1.0, "density_exponent": -9},
+    },
+    "sweep": {"toa_d_prime": [0.2], "toa_gamma": [0.001, 0.22]},
+}
+
 
 def write_config(tmp_path, overrides, name="config.json"):
     path = tmp_path / name
@@ -167,6 +176,14 @@ class TestAnglesCommand:
         assert aoa.sum() * width == pytest.approx(1.0)
         centers = np.array([float(r[0]) for r in rows])
         assert np.min(np.abs(centers)) < 1e-9  # zero is a bin center
+
+    def test_no_component_exits_1(self, tmp_path, capsys):
+        # 5 realizations of a sparse config draw no scatterer: no density to write
+        cfg = write_config(tmp_path, SPARSE)
+        argv = ["angles", "--config", cfg, "--realizations", "5", "--seed", "1"]
+        assert main(argv + ["--out", str(tmp_path / "angles.csv")]) == 1
+        assert "0 multipath components in 5 realizations" in capsys.readouterr().err
+        assert not (tmp_path / "angles.csv").exists()
 
 
 class TestValidateCommand:
@@ -317,6 +334,13 @@ class TestGoldenOutput:
         lines = out.read_bytes().splitlines(keepends=True)
         kept = b"".join(ln for ln in lines if not ln.startswith(b"# version="))
         assert hashlib.md5(kept).hexdigest() == self.SUB_CHUNKED_DIGESTS[command]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_validate_stdout_digest(self, capsys, workers):
+        # the preset validate at its default sample sizes
+        assert main(["validate", "--workers", workers]) == 0
+        digest = hashlib.md5(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "876f1a5f90f696bae4f1cc01c71c6e07"
 
 
 class TestImportCost:
@@ -634,6 +658,8 @@ class TestConfigFuzz:
             "realizations": _FEW,
         }
     )
+    # no scatterer in 5 realizations: angles has no density to write
+    @example(overrides={**SPARSE, "realizations": {**_FEW, "angles": 5}, "seed": 1})
     def test_every_command_exits_cleanly(self, overrides):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = write_config(Path(tmp), overrides)
@@ -663,3 +689,9 @@ class TestConfigFuzz:
                     for row in read_csv(Path(tmp) / "x.csv")[2]:
                         cells = [float(v) for v in row[2:]]
                         assert all(map(math.isfinite, cells[: 3 if few else 4])), row
+                if command[0] == "angles" and code == 0:
+                    # each angle's densities integrate to 1 over the 64 bins
+                    rows = read_csv(Path(tmp) / "x.csv")[2]
+                    for column in (1, 2):
+                        total = sum(float(row[column]) for row in rows) * 2.0 * math.pi / 64
+                        assert total == pytest.approx(1.0), (column, total)

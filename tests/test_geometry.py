@@ -15,7 +15,6 @@ from dvrchan.geometry import (
     LensSpec,
     density_kernel,
     lens_area,
-    lens_area_partial,
     lens_bounding_box,
     sample_uniform_in_lens,
     support_bounds,
@@ -183,20 +182,16 @@ class TestLensAreaProperties:
 
 
 class TestLensAreaPartial:
+    """The overlap area over the partial-overlap regime ``|a - b| <= d0 <= a + b``."""
+
     def test_externally_tangent_is_zero(self):
-        assert lens_area_partial(2.0, 1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert lens_area(LensSpec(2.0, 1.0, 1.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_internally_tangent_matches_contained(self):
-        assert lens_area_partial(200.0, 500.0, 300.0) == pytest.approx(math.pi * 300.0**2)
+        assert lens_area(LensSpec(200.0, 500.0, 300.0)) == pytest.approx(math.pi * 300.0**2)
 
     def test_unit_lens(self):
-        assert lens_area_partial(1.0, 1.0, 1.0) == pytest.approx(UNIT_LENS_AREA, rel=1e-12)
-
-    def test_outside_regime_rejected(self):
-        with pytest.raises(ValueError):
-            lens_area_partial(10.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            lens_area_partial(0.5, 5.0, 1.0)
+        assert lens_area(LensSpec(1.0, 1.0, 1.0)) == pytest.approx(UNIT_LENS_AREA, rel=1e-12)
 
     def test_continuity_at_branch_boundaries(self):
         rng = np.random.default_rng(10)

@@ -10,13 +10,11 @@ from dvrchan.geometry import lens_area
 from dvrchan.pointprocess import (
     _poisson_counts,
     _poisson_table,
-    Realization,
     ScattererClass,
     Scenario,
     mean_active_count,
     sample_block,
     sample_positions,
-    sample_realization,
     substream,
 )
 
@@ -152,11 +150,12 @@ class TestSampling:
 
     def test_single_realization(self):
         scenario = make_scenario(seed=9)
-        realization = sample_realization(scenario, substream(9, 0))
-        assert isinstance(realization, Realization)
-        assert realization.u in (0, 1)
-        if realization.u == 0:
-            assert len(realization.tall_points) == 0
+        block = sample_with_positions(scenario, 1, substream(9, 0))
+        assert len(block) == 1
+        assert len(block.short_points) == block.n_short[0]
+        assert len(block.tall_points) == block.n_tall[0]
+        if block.gate[0] >= scenario.gamma:
+            assert len(block.tall_points) == 0
 
     def test_zero_area_lens_yields_no_points(self):
         scenario = make_scenario(d_prime=9000.0, gamma=1.0)

@@ -82,13 +82,13 @@ class TestComputeAngles:
     """Angle binning of hand-placed scatterers, through the block angle kernel."""
 
     def test_midpoint_scatterer(self):
-        aod, aoa = _angles(one_realization([(100.0, 0.0)]), 200.0)
+        aod, aoa = _angles(np.array([[100.0, 0.0]]), 200.0)
         assert binned_center(aod) == pytest.approx(0.0, abs=1e-12)
         # pi is a bin center; the arrival angle lands there, not at -pi
         assert binned_center(aoa) == pytest.approx(math.pi, abs=1e-12)
 
     def test_perpendicular_scatterer(self):
-        aod, aoa = _angles(one_realization([(0.0, 50.0)]), 200.0)
+        aod, aoa = _angles(np.array([[0.0, 50.0]]), 200.0)
         assert binned_center(aod) == pytest.approx(math.pi / 2.0, abs=1e-12)
         index = int(np.flatnonzero(aoa)[0])
         assert ANGLE_BIN_EDGES[index] <= math.atan2(50.0, -200.0) < ANGLE_BIN_EDGES[index + 1]
@@ -135,7 +135,7 @@ class TestTraceRealization:
 
     def test_empty_realization(self):
         assert power_of(np.empty((0, 2)), seed=2) == 0.0
-        aod, aoa = _angles(one_realization(np.empty((0, 2))), 200.0)
+        aod, aoa = _angles(np.empty((0, 2)), 200.0)
         assert aod.sum() == aoa.sum() == 0
 
 
@@ -187,8 +187,8 @@ class TestRunExperiment:
         scenario = make_scenario(seed=14)
         summary = run_experiment(scenario, GTU_REFLECTION, 20_000)
         value, stderr = mean_received_power(scenario, GTU_REFLECTION, 100_000, rng=14)
-        combined = math.hypot(stderr, summary.power_stderr)
-        assert abs(summary.power_mean - value) < 4.0 * combined
+        combined = math.hypot(stderr, summary.power.stderr)
+        assert abs(summary.power.mean - value) < 4.0 * combined
 
     def test_stderr_scales_with_sample_size(self):
         scenario = make_scenario(seed=15)
@@ -196,7 +196,7 @@ class TestRunExperiment:
         large = run_experiment(scenario, GTU_REFLECTION, 40_000)
         ratio = large.toa_stderr / small.toa_stderr
         assert 0.4 < ratio < 0.62
-        ratio = large.power_stderr / small.power_stderr
+        ratio = large.power.stderr / small.power.stderr
         assert 0.35 < ratio < 0.65
 
     def test_worker_count_invariance(self):
@@ -295,7 +295,7 @@ class TestStatisticSets:
             if "toa" not in wanted:
                 assert math.isnan(part.toa_mean)
             if "power" not in wanted:
-                assert math.isnan(part.power_mean)
+                assert math.isnan(part.power.mean)
 
     def test_merge_rejects_different_sets(self):
         scenario = make_scenario(seed=23)
