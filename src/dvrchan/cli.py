@@ -30,7 +30,7 @@ from .analytics import (
 from .config import MAX_REALIZATIONS, ConfigError, RunConfig, load_config
 from .geometry import EmptyRegionError, _lens_area, distances, sample_uniform_in_lens
 from .geometry import lens_area  # noqa: F401 (perfbench/tracing.py patches cli.lens_area)
-from .pointprocess import mean_active_count, sample_block, substream
+from .pointprocess import mean_active_count, substream
 from .simulator import ANGLE_BIN_EDGES, run_experiment
 
 __all__ = ["main"]
@@ -98,6 +98,17 @@ def cmd_toa_sweep(cfg: RunConfig, seed: int, n: int, workers: int) -> tuple[tupl
                 rows.append((d_prime, gamma, math.nan, math.nan, math.nan))
                 continue
             summary = run_experiment(scenario, interaction, n, seed, workers, statistics={"toa"})
+            # A branch the estimate weights needs two samples for its stderr.
+            for branch, weight, tau in (
+                ("gate-open", gamma, summary.tau_open),
+                ("gate-closed", 1.0 - gamma, summary.tau_closed),
+            ):
+                if weight > 0.0 and tau.count < 2:
+                    raise DegenerateScenarioError(
+                        f"toa-sweep at d' = {d_prime:g} m, gamma = {gamma:g}: the {branch} branch"
+                        f" drew {tau.count} of the 2 path samples its estimate needs"
+                        f" in {n} realizations"
+                    )
             rows.append(
                 (
                     d_prime,
@@ -120,10 +131,11 @@ def _mean_powers(scenario, interaction, seed: int, n: int, workers: int):
     ``OverflowError`` unless every value is finite but a stderr of fewer
     than two samples.
     """
-    theory, theory_se = mean_received_power(
-        scenario, interaction, n_mc=max(10 * n, 10_000), rng=substream(seed, MAX_REALIZATIONS)
-    )
-    summary = run_experiment(scenario, interaction, n, seed, workers, statistics={"power"})
+    with np.errstate(over="ignore", invalid="ignore"):
+        theory, theory_se = mean_received_power(
+            scenario, interaction, n_mc=max(10 * n, 10_000), rng=substream(seed, MAX_REALIZATIONS)
+        )
+        summary = run_experiment(scenario, interaction, n, seed, workers, statistics={"power"})
     powers = theory, theory_se, summary.power.mean, summary.power.stderr
     if not all(map(math.isfinite, powers[: 3 if n < 2 else 4])):
         raise OverflowError(f"mean power of {interaction.mode} at d' = {scenario.d_prime:g} m")
@@ -256,18 +268,20 @@ def cmd_validate(cfg: RunConfig, seed: int, n: int | None, workers: int) -> int:
     checks = []
     checks.append(("geometry-continuity",) + _check_geometry_continuity(substream(seed, 900)))
     checks.append(("pmf-normalization",) + _check_pmf_normalization(scenario))
+    n_ks = n or 100_000
     if mpc_mean(scenario) <= 0.0:
         # Degenerate scenario: confirm the no-path handling itself.
-        block = sample_block(scenario, 1, substream(seed, 3000))
-        empty = block.n_short[0] == 0 and block.n_tall[0] == 0
-        checks.append(("degenerate-realizations-empty", empty, "sampled realization is empty"))
+        interaction = next(iter(cfg.interactions.values()))
+        summary = run_experiment(scenario, interaction, n_ks, seed, workers, statistics=set())
+        empty = int(summary.mpc_count_histogram[0])
+        detail = f"{empty} of {n_ks} realizations hold no component"
+        checks.append(("degenerate-realizations-empty", empty == n_ks, detail))
         try:
             mean_toa(scenario)
             checks.append(("degenerate-no-path", False, "mean_toa did not flag no-path"))
         except DegenerateScenarioError:
             checks.append(("degenerate-no-path", True, "no-path condition reported"))
     else:
-        n_ks = n or 100_000
         checks.extend(_check_ks_marginals(scenario, seed, n_ks))
         checks.extend(
             _check_power_consistency(cfg, scenario, seed, cfg.realizations["power"], workers)

@@ -55,8 +55,8 @@ GTU_PRESET = {
 
 # Largest mean number of scatterers of one class per realization that a
 # config may ask for: far above any published density, and small enough that
-# the Poisson sampler's CDF and guide tables (pointprocess._poisson_table)
-# stay under ~1.2 MiB.
+# the Poisson tables (pointprocess._poisson_table) stay under ~0.83 MiB and a
+# realization's two counts, each at most 1e7 + 37960, sum within int32.
 MAX_MEAN_SCATTERERS = 1e7
 
 # Largest visibility radius, in meters, a config may ask for: the lens area

@@ -95,10 +95,10 @@ class RealizationBlock:
     ``gate`` holds the uniforms behind the gate states, sorted, so the
     gate-open realizations ``gate < gamma`` are a prefix of the block;
     ``tall_counts`` holds the tall counts before the gate zeroes them and
-    ``n_tall`` after.  Each class's positions are laid out in realization
-    order, ``counts[j]`` rows for realization ``j``, and are ``None`` in a
-    block of counts (:func:`sample_block`).  The simulator's cached blocks
-    keep only the gamma-free ``n_short``, ``gate`` and ``tall_counts``.
+    ``n_tall`` after, every count int32.  Each class's positions are laid
+    out in realization order, ``counts[j]`` rows for realization ``j``, and
+    are ``None`` in a block of counts (:func:`sample_block`).  The simulator's
+    cached blocks keep only the gamma-free ``n_short``, ``gate`` and ``tall_counts``.
     """
 
     n_short: np.ndarray
@@ -142,7 +142,7 @@ def sample_class_points(
 
 # Poisson tables are cached per mean: a run asks for the same few means.  At
 # the largest mean a config allows (1e7) a table holds ~76k CDF entries and a
-# 2**16-entry guide (~1.1 MiB); at the preset means it is ~17 KiB.
+# 2**16-entry int32 guide (~0.83 MiB); at the preset means it is ~9 KiB.
 _POISSON_TABLES = 32
 
 
@@ -176,7 +176,7 @@ def _poisson_table(mu: float) -> tuple[int, np.ndarray, np.ndarray]:
         cdf[-1] = 1.0
     m = min(1 << (16 * len(cdf) - 1).bit_length(), 2**16)
     edges = np.arange(m + 1) / m
-    guide = np.searchsorted(cdf, edges[:-1], side="right")
+    guide = np.searchsorted(cdf, edges[:-1], side="right").astype(np.int32)
     guide[guide != np.searchsorted(cdf, edges[1:], side="left")] = -1
     cdf.flags.writeable = False
     guide.flags.writeable = False
@@ -184,7 +184,7 @@ def _poisson_table(mu: float) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 def _poisson_counts(mu: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """``n`` Poisson(``mu``) counts, each one uniform inverted through a CDF table.
+    """``n`` int32 Poisson(``mu``) counts, each one uniform inverted through a CDF table.
 
     Inversion by table lookup is exact up to the table (Devroye,
     *Non-Uniform Random Variate Generation*, 1986, sec. III.2): a count is

@@ -351,9 +351,9 @@ def _toa_head(
     Both are free of ``gamma``, so the head is kept under the scenario with
     ``gamma`` and ``seed`` set to 0, the seed and ``n_realizations``, and
     returned while that key matches; else the kept head is freed first.  A
-    block keeps what :func:`_reduce_block` reads, as read-only arrays shared
-    by later runs: the gate, the pick and the short and ungated tall counts
-    as int32 (a mean count is at most 1e7), 32 bytes per realization.  The
+    block keeps what :func:`_reduce_block` reads, frozen and shared by later
+    runs: the gate and the short and ungated tall counts, the very arrays
+    :func:`sample_block` drew, and the pick, 32 bytes per realization.  The
     global is read once, so a thread never compares one head's key and
     returns another's blocks.
     """
@@ -368,8 +368,7 @@ def _toa_head(
     def draw(index: int):
         block, rng = _block(scenario0, seed, n_realizations, index)
         pick = _toa_pick(block, scenario0, rng)
-        n_short, tall_counts = block.n_short.astype(np.int32), block.tall_counts.astype(np.int32)
-        block = RealizationBlock(n_short, None, None, None, block.gate, tall_counts)
+        block = RealizationBlock(block.n_short, None, None, None, block.gate, block.tall_counts)
         for array in (block.gate, block.n_short, block.tall_counts, *pick):
             array.flags.writeable = False
         return block, pick

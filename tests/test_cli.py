@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -254,7 +256,9 @@ class TestValidateCommand:
             },
         }[config]
         cfg = write_config(tmp_path, overrides)
-        with pytest.warns(RuntimeWarning):
+        # the overflow is reported as an exit 1, not as numpy warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             assert main(["validate", "--config", cfg, "--realizations", "2000"]) == 1
         captured = capsys.readouterr()
         assert "PASS" not in captured.out
@@ -287,6 +291,23 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "no-path condition reported" in out
         assert "FAIL" not in out
+
+    def test_degenerate_check_sees_counted_gated_scatterers(self, tmp_path, capsys, monkeypatch):
+        # gamma = 0 with a populated tall class: every realization holds no
+        # component, though its ungated tall count is nonzero
+        cfg = write_config(tmp_path, {"scenario": {"gamma": 0.0, "short": {"density": 0}}})
+        argv = ["validate", "--config", cfg, "--realizations", "2000"]
+        assert main(argv) == 0
+        assert "PASS degenerate-realizations-empty: 2000 of 2000" in capsys.readouterr().out
+        # a reducer that counts the tall scatterers whatever the gate
+        reduce = simulator._reduce_block
+
+        def ungated(block, scenario, *args, **kwargs):
+            return reduce(block, dataclasses.replace(scenario, gamma=1.0), *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "_reduce_block", ungated)
+        assert main(argv) == 1
+        assert "FAIL degenerate-realizations-empty" in capsys.readouterr().out
 
 
 class TestGoldenOutput:
@@ -660,6 +681,9 @@ class TestConfigFuzz:
     )
     # no scatterer in 5 realizations: angles has no density to write
     @example(overrides={**SPARSE, "realizations": {**_FEW, "angles": 5}, "seed": 1})
+    # ~20 gate-open realizations in 2e4 at gamma = 1e-3, none of them with a
+    # path: toa-sweep has no mean or stderr to write at a point with a path
+    @example(overrides={**SPARSE, "realizations": {**_FEW, "toa": 20_000}, "seed": 1})
     def test_every_command_exits_cleanly(self, overrides):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = write_config(Path(tmp), overrides)
@@ -689,6 +713,11 @@ class TestConfigFuzz:
                     for row in read_csv(Path(tmp) / "x.csv")[2]:
                         cells = [float(v) for v in row[2:]]
                         assert all(map(math.isfinite, cells[: 3 if few else 4])), row
+                if command[0] == "toa-sweep" and code == 0:
+                    # nan marks a no-path point only: a row is all nan or all finite
+                    for row in read_csv(Path(tmp) / "x.csv")[2]:
+                        finite = [math.isfinite(float(v)) for v in row[2:]]
+                        assert all(finite) or not any(finite), row
                 if command[0] == "angles" and code == 0:
                     # each angle's densities integrate to 1 over the 64 bins
                     rows = read_csv(Path(tmp) / "x.csv")[2]

@@ -486,6 +486,30 @@ class TestToaMemo:
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 1
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_head_keeps_drawn_counts(self, cache, monkeypatch, workers):
+        # The counts are int32 where they are drawn; the head keeps those
+        # very arrays, no copy of them.
+        drawn = {}
+        sample = simulator.sample_block
+
+        def record(*args, **kwargs):
+            block = sample(*args, **kwargs)
+            drawn[id(block.gate)] = block
+            return block
+
+        monkeypatch.setattr(simulator, "sample_block", record)
+        self._toa(make_scenario(seed=37), workers=workers)
+        head = cache.blocks()
+        assert len(head) == len(drawn) == 3
+        for block, _ in head:
+            fresh = drawn[id(block.gate)]
+            assert fresh.n_tall.dtype == np.int32
+            for name in ("n_short", "tall_counts"):
+                kept = getattr(block, name)
+                assert kept.dtype == getattr(fresh, name).dtype == np.int32
+                assert np.shares_memory(kept, getattr(fresh, name)), name
+
     def test_pool_only_draws(self, cache, monkeypatch):
         # Two workers draw a head that is not kept on the pool, one job per
         # block, and reduce every head block on the calling thread.
