@@ -249,8 +249,8 @@ def mean_toa(scenario: Scenario) -> float:
         raise NoPathError("gate-closed branch has no short-scatterer paths")
     if gamma > 0.0 and mu_s + mu_t <= 0.0:
         raise NoPathError("gate-open branch has no paths")
-    # Path lengths are free of gamma and seed, so a sweep computes each once per d'.
-    scenario0 = replace(scenario, gamma=0.0, seed=0)
+    # Path lengths are free of gamma, so a sweep computes each once per d'.
+    scenario0 = replace(scenario, gamma=0.0)
     tau_s = _cached_path_length(scenario0, "short") if mu_s > 0.0 else 0.0
     tau_t = _cached_path_length(scenario0, "tall") if mu_t > 0.0 else 0.0
     expected = 0.0

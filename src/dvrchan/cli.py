@@ -68,7 +68,7 @@ def _pmf_support(scenario) -> np.ndarray:
 
 
 def cmd_pmf(cfg: RunConfig, seed: int, n: int, workers: int) -> tuple[tuple, list]:
-    scenario = cfg.scenario(seed=seed)
+    scenario = cfg.scenario()
     interaction = next(iter(cfg.interactions.values()))
     summary = run_experiment(scenario, interaction, n, seed, workers, statistics=set())
     support = _pmf_support(scenario)
@@ -90,7 +90,7 @@ def cmd_toa_sweep(cfg: RunConfig, seed: int, n: int, workers: int) -> tuple[tupl
     rows = []
     for d_prime in cfg.toa_d_prime:
         for gamma in cfg.toa_gamma:
-            scenario = cfg.scenario(d_prime=d_prime, gamma=gamma, seed=seed)
+            scenario = cfg.scenario(d_prime=d_prime, gamma=gamma)
             try:
                 analytic_us = mean_toa(scenario) * 1e6
             except NoPathError:
@@ -135,7 +135,7 @@ def _mean_powers(scenario, interaction, seed: int, n: int, workers: int):
         theory, theory_se = mean_received_power(
             scenario, interaction, n_mc=max(10 * n, 10_000), rng=substream(seed, MAX_REALIZATIONS)
         )
-        summary = run_experiment(scenario, interaction, n, seed, workers, statistics={"power"})
+    summary = run_experiment(scenario, interaction, n, seed, workers, statistics={"power"})
     powers = theory, theory_se, summary.power.mean, summary.power.stderr
     if not all(map(math.isfinite, powers[: 3 if n < 2 else 4])):
         raise OverflowError(f"mean power of {interaction.mode} at d' = {scenario.d_prime:g} m")
@@ -145,7 +145,7 @@ def _mean_powers(scenario, interaction, seed: int, n: int, workers: int):
 def cmd_power(cfg: RunConfig, seed: int, n: int, workers: int) -> tuple[tuple, list]:
     rows = []
     for d_prime in cfg.power_d_prime:
-        scenario = cfg.scenario(d_prime=d_prime, seed=seed)
+        scenario = cfg.scenario(d_prime=d_prime)
         for mode, interaction in cfg.interactions.items():
             rows.append((d_prime, mode, *_mean_powers(scenario, interaction, seed, n, workers)))
     header = (
@@ -160,7 +160,7 @@ def cmd_power(cfg: RunConfig, seed: int, n: int, workers: int) -> tuple[tuple, l
 
 
 def cmd_angles(cfg: RunConfig, seed: int, n: int, workers: int) -> tuple[tuple, list]:
-    scenario = cfg.scenario(seed=seed)
+    scenario = cfg.scenario()
     interaction = next(iter(cfg.interactions.values()))
     summary = run_experiment(scenario, interaction, n, seed, workers, statistics={"angles"})
     if summary.aod_histogram.sum() == 0:
@@ -264,7 +264,7 @@ def _check_power_consistency(cfg, scenario, seed, n, workers) -> list[tuple[str,
 
 
 def cmd_validate(cfg: RunConfig, seed: int, n: int | None, workers: int) -> int:
-    scenario = cfg.scenario(seed=seed)
+    scenario = cfg.scenario()
     checks = []
     checks.append(("geometry-continuity",) + _check_geometry_continuity(substream(seed, 900)))
     checks.append(("pmf-normalization",) + _check_pmf_normalization(scenario))

@@ -135,13 +135,12 @@ class RunConfig:
     realizations: dict
     seed: int
 
-    def scenario(self, d_prime=None, gamma=None, seed=None) -> Scenario:
+    def scenario(self, d_prime=None, gamma=None) -> Scenario:
         return Scenario(
             d_prime=self.d_prime if d_prime is None else d_prime,
             short=self.short,
             tall=self.tall,
             gamma=self.gamma if gamma is None else gamma,
-            seed=self.seed if seed is None else seed,
         )
 
     @property

@@ -68,7 +68,6 @@ class Scenario:
     short: ScattererClass
     tall: ScattererClass
     gamma: float
-    seed: int = 0
 
     def __post_init__(self):
         if not math.isfinite(self.d_prime) or self.d_prime < 0.0:

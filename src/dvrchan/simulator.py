@@ -9,13 +9,12 @@ result.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import dataclasses
 import functools
 import itertools
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -259,7 +258,9 @@ def _power(
             c, s = interaction.phasor(*distances(points[piece], scenario.d_prime), r[piece])
             re[lo:hi] += np.bincount(seg, weights=c, minlength=hi - lo)
             im[lo:hi] += np.bincount(seg, weights=s, minlength=hi - lo)
-    return Moments.of(interaction.k0 * (re * re + im * im))
+    # numpy's error state is per thread, so a pool thread sets its own.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Moments.of(interaction.k0 * (re * re + im * im))
 
 
 def _angles(points: np.ndarray, d_prime: float) -> tuple[np.ndarray, np.ndarray]:
@@ -343,22 +344,22 @@ _head = None
 
 
 def _toa_head(
-    scenario: Scenario, seed: int, n_realizations: int, pool: ThreadPoolExecutor | None, window: int
+    scenario: Scenario, seed: int, n_realizations: int, map_blocks
 ) -> tuple[tuple[RealizationBlock, tuple[np.ndarray, np.ndarray]], ...]:
     """Blocks ``0, 1, ...`` of a run (:func:`_block`), at most ``_GAMMA_FREE_BLOCKS``, each
-    with its ToA pick (:func:`_toa_pick`), drawn through :func:`_in_order`.
+    with its ToA pick (:func:`_toa_pick`), drawn through ``map_blocks``, the run's block map.
 
     Both are free of ``gamma``, so the head is kept under the scenario with
-    ``gamma`` and ``seed`` set to 0, the seed and ``n_realizations``, and
-    returned while that key matches; else the kept head is freed first.  A
-    block keeps what :func:`_reduce_block` reads, frozen and shared by later
-    runs: the gate and the short and ungated tall counts, the very arrays
+    ``gamma`` set to 0, the seed and ``n_realizations``, and returned while
+    that key matches; else the kept head is freed first.  A block keeps what
+    :func:`_reduce_block` reads, frozen and shared by later runs: the gate
+    and the short and ungated tall counts, the very arrays
     :func:`sample_block` drew, and the pick, 32 bytes per realization.  The
     global is read once, so a thread never compares one head's key and
     returns another's blocks.
     """
     global _head
-    scenario0 = dataclasses.replace(scenario, gamma=0.0, seed=0)
+    scenario0 = dataclasses.replace(scenario, gamma=0.0)
     key = (scenario0, seed, n_realizations)
     head = _head
     if head is not None and head[0] == key:
@@ -374,7 +375,7 @@ def _toa_head(
         return block, pick
 
     n_head = min(_GAMMA_FREE_BLOCKS, -(-n_realizations // _BLOCK_SIZE))
-    blocks = tuple(_in_order(pool, draw, range(n_head), window))
+    blocks = tuple(map_blocks(draw, range(n_head)))
     _head = key, blocks
     return blocks
 
@@ -386,32 +387,11 @@ def _block_length(scenario: Scenario) -> int:
     return max(1, min(_BLOCK_SIZE, _BLOCK_POINTS // max(1, math.ceil(mu))))
 
 
-def _in_order(
-    pool: ThreadPoolExecutor | None, job: Callable[[int], object], indices: range, window: int
-) -> Iterator:
-    """Yield ``job(index)`` for each of ``indices``, in order.
-
-    Runs the jobs inline, one after another, when ``pool`` is None, else on
-    ``pool`` with at most ``window`` jobs submitted and not yet yielded, so
-    a run of many blocks holds few results at once.
-    """
-    if pool is None:
-        yield from map(job, indices)
-        return
-    pending = collections.deque()
-    for index in indices:
-        pending.append(pool.submit(job, index))
-        if len(pending) == window:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
-
-
 def run_experiment(
     scenario: Scenario,
     interaction: InteractionModel,
     n_realizations: int,
-    seed: int | None = None,
+    seed: int,
     workers: int = 1,
     *,
     statistics: Iterable[str] = STATISTICS,
@@ -434,31 +414,28 @@ def run_experiment(
     (see :func:`_toa_head`), kept from the last such run when it had the
     same scenario apart from ``gamma``, seed and ``n_realizations``, and
     reduces them on the calling thread through the same reducer, with the
-    same result.  Every block is mapped through :func:`_in_order`: with one
-    worker inline, one after another; with more on one thread pool, with at
-    most ``2 * workers`` blocks in flight at once.  The pool only draws a
-    head that is not kept, and the blocks past the head.
+    same result.  Blocks are mapped in order: with one worker inline by
+    :func:`map`, with more by one thread pool's ``map``, which runs at most
+    ``workers`` blocks at once and cancels the blocks not yet started when
+    one raises.  The pool only draws a head that is not kept, and the
+    blocks past the head.
     """
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
     statistics = frozenset(statistics)
     if not statistics <= STATISTICS:
         raise ValueError(f"unknown statistics {sorted(statistics - STATISTICS)}")
-    if seed is None:
-        seed = scenario.seed
 
     def job(index: int) -> RunSummary:
         block, rng = _block(scenario, seed, n_realizations, index)
         return _reduce_block(block, scenario, interaction, rng, statistics)
 
-    window = 2 * workers
     pooled = ThreadPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
     with pooled as pool:
+        map_blocks = map if pool is None else pool.map
         head = ()
         if statistics == {"toa"}:
-            head = _toa_head(scenario, seed, n_realizations, pool, window)
+            head = _toa_head(scenario, seed, n_realizations, map_blocks)
         cached = (_reduce_block(b, scenario, interaction, None, statistics, p) for b, p in head)
         rest = range(len(head), -(-n_realizations // _BLOCK_SIZE))
-        return functools.reduce(
-            RunSummary.merge, itertools.chain(cached, _in_order(pool, job, rest, window))
-        )
+        return functools.reduce(RunSummary.merge, itertools.chain(cached, map_blocks(job, rest)))

@@ -62,11 +62,11 @@ def test_acceptance_pmf_agreement_and_bimodality(gtu, gtu_scenario):
     )
 
 
-def test_acceptance_distance_marginals_ks(gtu_scenario):
+def test_acceptance_distance_marginals_ks(gtu, gtu_scenario):
     results = []
     for offset, kind in enumerate(("short", "tall")):
         lens = gtu_scenario.scatterer_class(kind).lens(200.0)
-        pts = sample_uniform_in_lens(lens, substream(gtu_scenario.seed, 500 + offset), size=100_000)
+        pts = sample_uniform_in_lens(lens, substream(gtu.seed, 500 + offset), size=100_000)
         x = np.hypot(pts[:, 0], pts[:, 1])
         y = np.hypot(pts[:, 0] - 200.0, pts[:, 1])
         for axis, samples, cdf in (("x", x, dv.distance_cdf_bs), ("y", y, dv.distance_cdf_ms)):
@@ -171,7 +171,6 @@ def test_acceptance_power_dual_estimators(gtu):
         ScattererClass("short", 80.0, 60.0, 1e-3),
         ScattererClass("tall", 120.0, 100.0, 2e-4),
         0.3,
-        seed=700,
     )
     interaction = dv.InteractionModel("reflection", 10.0, 500.0, -1.17, 0.4)
     theory, _ = dv.mean_received_power(synthetic, interaction, 200_000, rng=substream(700, 0))

@@ -381,7 +381,6 @@ class TestMeanReceivedPower:
             ScattererClass("short", 80.0, 60.0, 1e-3),
             ScattererClass("tall", 100.0, 100.0, 0.0),
             1.0,
-            seed=8,
         )
         interaction = InteractionModel("reflection", 10.0, 400.0, -1.17, 0.4)
         value, stderr = dv.mean_received_power(scenario, interaction, 200_000, rng=8)

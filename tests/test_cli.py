@@ -242,10 +242,14 @@ class TestValidateCommand:
         most_blocks = -(-MAX_REALIZATIONS // simulator._BLOCK_SIZE)
         assert used and all(index >= most_blocks for index in used)
 
-    @pytest.mark.parametrize("config", ["hot", "coeff"])
-    def test_overflowing_power_exits_1(self, tmp_path, capsys, config):
+    @pytest.mark.parametrize(
+        "config, workers",
+        [("hot", 1), ("coeff", 1), ("hot", 2), ("coeff", 2)],
+        ids=["hot", "coeff", "hot-w2", "coeff-w2"],
+    )
+    def test_overflowing_power_exits_1(self, tmp_path, capsys, config, workers):
         # powers past ~1e154 W overflow the simulated stderr: no check may
-        # pass against an infinite bound
+        # pass against an infinite bound, whichever thread reduced the block
         overrides = {
             "hot": {"interaction": {"transmit_power_w": 1e200}},
             "coeff": {
@@ -259,7 +263,8 @@ class TestValidateCommand:
         # the overflow is reported as an exit 1, not as numpy warnings
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert main(["validate", "--config", cfg, "--realizations", "2000"]) == 1
+            argv = ["validate", "--config", cfg, "--realizations", "2000"]
+            assert main(argv + ["--workers", str(workers)]) == 1
         captured = capsys.readouterr()
         assert "PASS" not in captured.out
         assert captured.err.startswith("error: a result overflows float64: mean power of reflection")
@@ -274,7 +279,7 @@ class TestValidateCommand:
                 {"scenario": {"length_unit": "km", "d_prime": 0.0, "short": {"v1": 1e-17}}},
             )
         )
-        scenario = cfg.scenario(seed=seed)
+        scenario = cfg.scenario()
         checks = cli._check_power_consistency(
             cfg, scenario, seed, cfg.realizations["power"], 1
         )

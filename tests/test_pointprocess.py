@@ -24,13 +24,12 @@ GTU_MU_SHORT = 19.98995405479186
 GTU_MU_TALL = 20.878560464118564
 
 
-def make_scenario(d_prime=200.0, gamma=0.22, lam_s=7.07e-5, lam_t=4.2e-7, seed=0):
+def make_scenario(d_prime=200.0, gamma=0.22, lam_s=7.07e-5, lam_t=4.2e-7):
     return Scenario(
         d_prime=d_prime,
         short=ScattererClass("short", 500.0, 300.0, lam_s),
         tall=ScattererClass("tall", 4100.0, 4000.0, lam_t),
         gamma=gamma,
-        seed=seed,
     )
 
 
@@ -89,7 +88,7 @@ class TestSampling:
         assert len(block.tall_points) == 0
 
     def test_membership_invariants(self):
-        scenario = make_scenario(gamma=1.0, seed=3)
+        scenario = make_scenario(gamma=1.0)
         block = sample_with_positions(scenario, 2000, substream(3, 0))
         for cls, pts in ((scenario.short, block.short_points), (scenario.tall, block.tall_points)):
             assert np.all(np.hypot(pts[:, 0], pts[:, 1]) <= cls.v1 + 1e-9)
@@ -129,7 +128,7 @@ class TestSampling:
         # x-coordinate histogram against an independent membership oracle
         from _oracles import grid_cell_probabilities, grid_cells
 
-        scenario = make_scenario(gamma=0.0, seed=5)
+        scenario = make_scenario(gamma=0.0)
         block = sample_with_positions(scenario, 30_000, substream(5, 0))
         pts = block.short_points
         spec = scenario.short.lens(200.0)
@@ -141,7 +140,7 @@ class TestSampling:
         assert stats.chi2.sf(chi2, int(keep.sum()) - 1) > 0.01
 
     def test_determinism(self):
-        scenario = make_scenario(seed=77)
+        scenario = make_scenario()
         a = sample_with_positions(scenario, 500, substream(77, 0))
         b = sample_with_positions(scenario, 500, substream(77, 0))
         assert np.array_equal(a.gate, b.gate)
@@ -149,7 +148,7 @@ class TestSampling:
         assert np.array_equal(a.tall_points, b.tall_points)
 
     def test_single_realization(self):
-        scenario = make_scenario(seed=9)
+        scenario = make_scenario()
         block = sample_with_positions(scenario, 1, substream(9, 0))
         assert len(block) == 1
         assert len(block.short_points) == block.n_short[0]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from dvrchan import pointprocess, simulator
 from dvrchan.analytics import InteractionModel, mean_received_power, mean_toa, mpc_pmf
+from dvrchan.geometry import EmptyRegionError
 from dvrchan.pointprocess import (
     RealizationBlock,
     ScattererClass,
@@ -43,13 +44,12 @@ def _position_from_distances(d_prime, x, y):
     return np.array([px, math.sqrt(x * x - px * px)])
 
 
-def make_scenario(d_prime=200.0, gamma=0.22, seed=0):
+def make_scenario(d_prime=200.0, gamma=0.22):
     return Scenario(
         d_prime=d_prime,
         short=ScattererClass("short", 500.0, 300.0, 7.07e-5),
         tall=ScattererClass("tall", 4100.0, 4000.0, 4.2e-7),
         gamma=gamma,
-        seed=seed,
     )
 
 
@@ -166,43 +166,43 @@ def test_moments_merge_matches_whole(offset, values, cuts):
 
 class TestRunExperiment:
     def test_pmf_total_variation(self):
-        scenario = make_scenario(seed=10)
-        summary = run_experiment(scenario, GTU_REFLECTION, 20_000)
+        scenario = make_scenario()
+        summary = run_experiment(scenario, GTU_REFLECTION, 20_000, 10)
         support = np.arange(len(summary.empirical_pmf))
         tv = 0.5 * float(np.abs(summary.empirical_pmf - mpc_pmf(support, scenario)).sum())
         assert tv < 0.02
 
     def test_gate_fraction(self):
-        scenario = make_scenario(seed=11)
-        summary = run_experiment(scenario, GTU_REFLECTION, 20_000)
+        scenario = make_scenario()
+        summary = run_experiment(scenario, GTU_REFLECTION, 20_000, 11)
         sigma = math.sqrt(0.22 * 0.78 / 20_000)
         assert abs(summary.n_gate_open / 20_000 - 0.22) < 4.0 * sigma
 
     def test_toa_matches_closed_form(self):
-        scenario = make_scenario(seed=12)
-        summary = run_experiment(scenario, GTU_REFLECTION, 30_000)
+        scenario = make_scenario()
+        summary = run_experiment(scenario, GTU_REFLECTION, 30_000, 12)
         assert abs(summary.toa_mean - mean_toa(scenario)) < 4.0 * summary.toa_stderr
 
     def test_power_matches_closed_form(self):
-        scenario = make_scenario(seed=14)
-        summary = run_experiment(scenario, GTU_REFLECTION, 20_000)
+        scenario = make_scenario()
+        summary = run_experiment(scenario, GTU_REFLECTION, 20_000, 14)
         value, stderr = mean_received_power(scenario, GTU_REFLECTION, 100_000, rng=14)
         combined = math.hypot(stderr, summary.power.stderr)
         assert abs(summary.power.mean - value) < 4.0 * combined
 
     def test_stderr_scales_with_sample_size(self):
-        scenario = make_scenario(seed=15)
-        small = run_experiment(scenario, GTU_REFLECTION, 10_000)
-        large = run_experiment(scenario, GTU_REFLECTION, 40_000)
+        scenario = make_scenario()
+        small = run_experiment(scenario, GTU_REFLECTION, 10_000, 15)
+        large = run_experiment(scenario, GTU_REFLECTION, 40_000, 15)
         ratio = large.toa_stderr / small.toa_stderr
         assert 0.4 < ratio < 0.62
         ratio = large.power.stderr / small.power.stderr
         assert 0.35 < ratio < 0.65
 
     def test_worker_count_invariance(self):
-        scenario = make_scenario(seed=16)
-        serial = run_experiment(scenario, GTU_REFLECTION, 25_000, workers=1)
-        parallel = run_experiment(scenario, GTU_REFLECTION, 25_000, workers=3)
+        scenario = make_scenario()
+        serial = run_experiment(scenario, GTU_REFLECTION, 25_000, 16, workers=1)
+        parallel = run_experiment(scenario, GTU_REFLECTION, 25_000, 16, workers=3)
         assert serial.n_gate_open == parallel.n_gate_open
         assert np.array_equal(serial.mpc_count_histogram, parallel.mpc_count_histogram)
         for name in ("tau_open", "tau_closed", "power"):
@@ -211,16 +211,16 @@ class TestRunExperiment:
         assert np.array_equal(serial.aoa_histogram, parallel.aoa_histogram)
 
     def test_repeat_run_identical(self):
-        scenario = make_scenario(seed=17)
-        a = run_experiment(scenario, GTU_REFLECTION, 5_000)
-        b = run_experiment(scenario, GTU_REFLECTION, 5_000)
+        scenario = make_scenario()
+        a = run_experiment(scenario, GTU_REFLECTION, 5_000, 17)
+        b = run_experiment(scenario, GTU_REFLECTION, 5_000, 17)
         for name in ("tau_open", "tau_closed", "power"):
             assert getattr(a, name) == getattr(b, name)
         assert np.array_equal(a.mpc_count_histogram, b.mpc_count_histogram)
 
     def test_angle_densities_normalized(self):
-        scenario = make_scenario(seed=18)
-        summary = run_experiment(scenario, GTU_REFLECTION, 5_000)
+        scenario = make_scenario()
+        summary = run_experiment(scenario, GTU_REFLECTION, 5_000, 18)
         width = 2.0 * math.pi / N_ANGLE_BINS
         assert float(summary.aod_density.sum() * width) == pytest.approx(1.0)
         assert float(summary.aoa_density.sum() * width) == pytest.approx(1.0)
@@ -231,7 +231,7 @@ class TestRunExperiment:
 
     def test_invalid_realization_count(self):
         with pytest.raises(ValueError):
-            run_experiment(make_scenario(), GTU_REFLECTION, 0)
+            run_experiment(make_scenario(), GTU_REFLECTION, 0, 0)
 
 
 _MOMENT_FIELDS = {
@@ -264,19 +264,19 @@ class TestStatisticSets:
 
     @pytest.mark.parametrize("seed", [21, 22])
     def test_requested_fields_match_full_run(self, seed, cache):
-        scenario = make_scenario(seed=seed)
-        full = run_experiment(scenario, GTU_REFLECTION, 3_000)
+        scenario = make_scenario()
+        full = run_experiment(scenario, GTU_REFLECTION, 3_000, seed)
         assert full.statistics == STATISTICS
         for workers, wanted, warm in itertools.product((1, 3), _ALL_SUBSETS, (False, True)):
             # the gamma-free cache starts empty and, when warm, holds a run at another gamma
             cache.cache_clear()
             if warm:
                 run_experiment(
-                    dataclasses.replace(scenario, gamma=0.7), GTU_REFLECTION, 3_000,
+                    dataclasses.replace(scenario, gamma=0.7), GTU_REFLECTION, 3_000, seed,
                     workers=workers, statistics=wanted,
                 )
             part = run_experiment(
-                scenario, GTU_REFLECTION, 3_000, workers=workers, statistics=wanted
+                scenario, GTU_REFLECTION, 3_000, seed, workers=workers, statistics=wanted
             )
             assert part.statistics == wanted
             assert part.n_gate_open == full.n_gate_open
@@ -298,9 +298,9 @@ class TestStatisticSets:
                 assert math.isnan(part.power.mean)
 
     def test_merge_rejects_different_sets(self):
-        scenario = make_scenario(seed=23)
-        a = run_experiment(scenario, GTU_REFLECTION, 500, statistics={"toa"})
-        b = run_experiment(scenario, GTU_REFLECTION, 500, statistics={"toa", "power"})
+        scenario = make_scenario()
+        a = run_experiment(scenario, GTU_REFLECTION, 500, 23, statistics={"toa"})
+        b = run_experiment(scenario, GTU_REFLECTION, 500, 23, statistics={"toa", "power"})
         with pytest.raises(ValueError, match="different statistics"):
             a.merge(b)
         with pytest.raises(ValueError, match="different statistics"):
@@ -308,12 +308,12 @@ class TestStatisticSets:
 
     def test_unknown_statistic_rejected(self):
         with pytest.raises(ValueError, match="unknown statistics"):
-            run_experiment(make_scenario(), GTU_REFLECTION, 100, statistics={"tao"})
+            run_experiment(make_scenario(), GTU_REFLECTION, 100, 0, statistics={"tao"})
 
     @pytest.mark.parametrize("wanted", _ALL_SUBSETS, ids=lambda w: "+".join(sorted(w)) or "none")
     def test_reducer_draws_coefficients_only_for_power(self, wanted):
         # the block is one sub-chunk: its positions, then the coefficients
-        scenario = make_scenario(gamma=0.5, seed=24)
+        scenario = make_scenario(gamma=0.5)
         assert simulator._block_length(scenario) >= 500
         rng = substream(24, 0)
         block = sample_block(scenario, 500, rng)
@@ -353,9 +353,9 @@ def cache():
     _Head.cache_clear()
 
 
-def _reference(scenario, n, **kwargs):
+def _reference(scenario, seed, n, **kwargs):
     """ToA fields of a run of every statistic, which never reads the cache."""
-    return _toa_fields(run_experiment(scenario, GTU_REFLECTION, n, **kwargs))
+    return _toa_fields(run_experiment(scenario, GTU_REFLECTION, n, seed, **kwargs))
 
 
 @pytest.mark.usefixtures("small_blocks")
@@ -364,15 +364,15 @@ class TestToaMemo:
 
     GAMMAS = (0.0, 0.22, 0.5, 1.0)
 
-    def _toa(self, scenario, n=3_000, **kwargs):
+    def _toa(self, scenario, seed, n=3_000, **kwargs):
         return _toa_fields(
-            run_experiment(scenario, GTU_REFLECTION, n, statistics={"toa"}, **kwargs)
+            run_experiment(scenario, GTU_REFLECTION, n, seed, statistics={"toa"}, **kwargs)
         )
 
     def test_warm_run_draws_nothing(self, cache, monkeypatch):
-        scenario = make_scenario(seed=30)
-        expected = _reference(scenario, 3_000)
-        self._toa(dataclasses.replace(scenario, gamma=0.0))
+        scenario = make_scenario()
+        expected = _reference(scenario, 30, 3_000)
+        self._toa(dataclasses.replace(scenario, gamma=0.0), 30)
         assert len(cache.blocks()) == 3
         calls = []
         for module, name in ((simulator, "sample_block"), (pointprocess, "sample_uniform_in_lens")):
@@ -380,45 +380,45 @@ class TestToaMemo:
             monkeypatch.setattr(
                 module, name, lambda *a, f=original, **k: calls.append(a) or f(*a, **k)
             )
-        assert self._toa(scenario) == expected
+        assert self._toa(scenario, 30) == expected
         assert calls == []
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_sweep_order_and_workers(self, cache, workers):
-        base = make_scenario(seed=31)
+        base = make_scenario()
         for d_prime in (100.0, 400.0, 700.0):
             scenarios = {g: dataclasses.replace(base, d_prime=d_prime, gamma=g) for g in self.GAMMAS}
-            expected = {g: _reference(s, 3_000) for g, s in scenarios.items()}
+            expected = {g: _reference(s, 31, 3_000) for g, s in scenarios.items()}
             for order in (self.GAMMAS, self.GAMMAS[::-1]):
                 for gamma in order:
-                    assert self._toa(scenarios[gamma], workers=workers) == expected[gamma]
+                    assert self._toa(scenarios[gamma], 31, workers=workers) == expected[gamma]
 
     @pytest.mark.parametrize(
-        "fields, n",
+        "fields, seed, n",
         [
-            ({"d_prime": 250.0}, 3_000),
-            ({"short": ScattererClass("short", 500.0, 300.0, 5e-5)}, 3_000),
-            ({"tall": ScattererClass("tall", 4100.0, 4000.0, 3e-7)}, 3_000),
-            ({"seed": 33}, 3_000),
-            ({}, 2_500),
+            ({"d_prime": 250.0}, 32, 3_000),
+            ({"short": ScattererClass("short", 500.0, 300.0, 5e-5)}, 32, 3_000),
+            ({"tall": ScattererClass("tall", 4100.0, 4000.0, 3e-7)}, 32, 3_000),
+            ({}, 33, 3_000),
+            ({}, 32, 2_500),
         ],
         ids=["d_prime", "short", "tall", "seed", "n"],
     )
-    def test_key_tells_runs_apart(self, cache, fields, n):
-        base = make_scenario(seed=32)
-        self._toa(base)
+    def test_key_tells_runs_apart(self, cache, fields, seed, n):
+        base = make_scenario()
+        self._toa(base, 32)
         other = dataclasses.replace(base, gamma=0.5, **fields)
-        assert self._toa(other, n) == _reference(other, n)
+        assert self._toa(other, seed, n) == _reference(other, seed, n)
 
     def test_concurrent_runs(self, cache, monkeypatch):
         # More threads than cores, each sweeping gamma at its own d', with a
         # short switch interval: runs share the cache, and more blocks are
         # live than it holds.
         monkeypatch.setattr(simulator, "_BLOCK_SIZE", 500)
-        base = make_scenario(seed=34)
+        base = make_scenario()
         d_primes = (100.0, 300.0, 500.0, 700.0)
         expected = {
-            (d, g): _reference(dataclasses.replace(base, d_prime=d, gamma=g), 3_000)
+            (d, g): _reference(dataclasses.replace(base, d_prime=d, gamma=g), 34, 3_000)
             for d in d_primes
             for g in self.GAMMAS
         }
@@ -427,7 +427,7 @@ class TestToaMemo:
         def sweep(d_prime):
             for gamma in self.GAMMAS:
                 scenario = dataclasses.replace(base, d_prime=d_prime, gamma=gamma)
-                got[d_prime, gamma] = self._toa(scenario, workers=2)
+                got[d_prime, gamma] = self._toa(scenario, 34, workers=2)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -452,11 +452,10 @@ class TestToaMemo:
             short=ScattererClass("short", 500.0, 300.0, 1e-5),
             tall=ScattererClass("tall", 4100.0, 4000.0, 4e-8),
             gamma=0.5,
-            seed=35,
         )
         n = 4 * simulator._GAMMA_FREE_BLOCKS * 1_000
-        expected = _reference(scenario, n)
-        self._toa(dataclasses.replace(scenario, gamma=0.22), n, workers=workers)
+        expected = _reference(scenario, 35, n)
+        self._toa(dataclasses.replace(scenario, gamma=0.22), 35, n, workers=workers)
         head = cache.blocks()
         assert [len(block) for block, _ in head] == [1_000] * simulator._GAMMA_FREE_BLOCKS
         drawn = []
@@ -466,7 +465,7 @@ class TestToaMemo:
             "sample_block",
             lambda s, size, rng, **k: drawn.append((size, k)) or sample(s, size, rng, **k),
         )
-        assert self._toa(scenario, n, workers=workers) == expected
+        assert self._toa(scenario, 35, n, workers=workers) == expected
         # the second gamma reuses the head and draws every later block afresh
         assert cache.blocks() is head
         assert drawn == [(1_000, {})] * 3 * simulator._GAMMA_FREE_BLOCKS
@@ -474,8 +473,7 @@ class TestToaMemo:
     def test_cached_records_read_only(self, cache):
         # The head is shared by every later run and thread, and holds 32
         # bytes per realization: the gate, two int32 counts, the pick.
-        scenario = make_scenario(seed=36)
-        self._toa(scenario)
+        self._toa(make_scenario(), 36)
         head = cache.blocks()
         assert len(head) == 3
         for block, pick in head:
@@ -499,7 +497,7 @@ class TestToaMemo:
             return block
 
         monkeypatch.setattr(simulator, "sample_block", record)
-        self._toa(make_scenario(seed=37), workers=workers)
+        self._toa(make_scenario(), 37, workers=workers)
         head = cache.blocks()
         assert len(head) == len(drawn) == 3
         for block, _ in head:
@@ -521,13 +519,13 @@ class TestToaMemo:
                 return super().submit(fn, *args, **kwargs)
 
         monkeypatch.setattr(simulator, "ThreadPoolExecutor", Counting)
-        cold, warm = (make_scenario(gamma=g, seed=37) for g in (0.22, 0.5))
-        expected = {s: self._toa(s) for s in (cold, warm)}
+        cold, warm = (make_scenario(gamma=g) for g in (0.22, 0.5))
+        expected = {s: self._toa(s, 37) for s in (cold, warm)}
         cache.cache_clear()
-        assert self._toa(cold, workers=2) == expected[cold]
+        assert self._toa(cold, 37, workers=2) == expected[cold]
         assert submitted == [(0,), (1,), (2,)]
         submitted.clear()
-        assert self._toa(warm, workers=2) == expected[warm]
+        assert self._toa(warm, 37, workers=2) == expected[warm]
         assert submitted == []
 
     def test_one_worker_builds_no_pool(self, cache, monkeypatch):
@@ -535,15 +533,17 @@ class TestToaMemo:
         def no_pool(*args, **kwargs):
             raise AssertionError("one worker built a thread pool")
 
-        scenario = make_scenario(gamma=0.22, seed=37)
+        scenario = make_scenario(gamma=0.22)
         expected = {
-            frozenset(wanted): run_experiment(scenario, GTU_REFLECTION, 3_000, statistics=wanted)
+            frozenset(wanted): run_experiment(
+                scenario, GTU_REFLECTION, 3_000, 37, statistics=wanted
+            )
             for wanted in ({"toa"}, set(), {"power"}, {"angles"})
         }
         cache.cache_clear()
         monkeypatch.setattr(simulator, "ThreadPoolExecutor", no_pool)
         for wanted in ({"toa"}, {"toa"}, set(), {"power"}, {"angles"}):
-            got = run_experiment(scenario, GTU_REFLECTION, 3_000, workers=1, statistics=wanted)
+            got = run_experiment(scenario, GTU_REFLECTION, 3_000, 37, workers=1, statistics=wanted)
             reference = expected[frozenset(wanted)]
             assert _toa_fields(got) == _toa_fields(reference)
             assert got.power == reference.power
@@ -559,9 +559,9 @@ class TestToaMemo:
             refs.append(weakref.ref(closed))
             return closed, open_
 
-        base = make_scenario(seed=38)
+        base = make_scenario()
         monkeypatch.setattr(simulator, "_toa_pick", watched_pick)
-        self._toa(dataclasses.replace(base, d_prime=100.0))
+        self._toa(dataclasses.replace(base, d_prime=100.0), 38)
         monkeypatch.setattr(simulator, "_toa_pick", pick)
         assert len(refs) == 3 and all(ref() is not None for ref in refs)
         alive = []
@@ -571,7 +571,7 @@ class TestToaMemo:
             "sample_block",
             lambda *a, **k: alive.append(sum(ref() is not None for ref in refs)) or sample(*a, **k),
         )
-        self._toa(dataclasses.replace(base, d_prime=400.0))
+        self._toa(dataclasses.replace(base, d_prime=400.0), 38)
         assert alive[0] == 0
 
 
@@ -613,7 +613,7 @@ def test_block_memory_bounded(gtu, monkeypatch, wanted):
     n = 2 * simulator._block_length(scenario) + 1
     tracemalloc.start()
     try:
-        summary = run_experiment(scenario, GTU_REFLECTION, n, statistics=wanted)
+        summary = run_experiment(scenario, GTU_REFLECTION, n, gtu.seed, statistics=wanted)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -643,7 +643,7 @@ def test_partition_is_the_same_for_every_scenario(gtu, cache, monkeypatch, confi
         lambda s, size, rng, **k: sizes.append(size) or sample(s, size, rng, **k),
     )
     n = simulator._BLOCK_SIZE + 1
-    summary = run_experiment(scenario, GTU_REFLECTION, n, statistics=wanted)
+    summary = run_experiment(scenario, GTU_REFLECTION, n, gtu.seed, statistics=wanted)
     assert sizes == [simulator._BLOCK_SIZE, 1]
     assert summary.mpc_count_histogram.sum() == n
 
@@ -654,7 +654,7 @@ def test_sub_chunked_run(cache, monkeypatch):
     # sub-chunks of 2**14 // 41 = 399 realizations (41 scatterers each, on
     # average, with the gate open).
     monkeypatch.setattr(simulator, "_BLOCK_POINTS", 1 << 14)
-    scenario = make_scenario(seed=39)
+    scenario = make_scenario()
     assert simulator._block_length(scenario) == 399
     parts = []
     positions = simulator.sample_positions
@@ -663,18 +663,39 @@ def test_sub_chunked_run(cache, monkeypatch):
         "sample_positions",
         lambda s, block, rng, part: parts.append(part) or positions(s, block, rng, part),
     )
-    serial = run_experiment(scenario, GTU_REFLECTION, 2_500, workers=1)
+    serial = run_experiment(scenario, GTU_REFLECTION, 2_500, 39, workers=1)
     assert len(parts) == 3 + 3 + 2
-    parallel = run_experiment(scenario, GTU_REFLECTION, 2_500, workers=2)
+    parallel = run_experiment(scenario, GTU_REFLECTION, 2_500, 39, workers=2)
     for name in ("n_gate_open", "tau_open", "tau_closed", "power"):
         assert getattr(serial, name) == getattr(parallel, name)
     for name in ("mpc_count_histogram", "aod_histogram", "aoa_histogram"):
         assert np.array_equal(getattr(serial, name), getattr(parallel, name))
     # the ToA reads the whole block, as a {"toa"} run does from its head
-    toa = run_experiment(scenario, GTU_REFLECTION, 2_500, workers=2, statistics={"toa"})
+    toa = run_experiment(scenario, GTU_REFLECTION, 2_500, 39, workers=2, statistics={"toa"})
     assert _toa_fields(serial) == _toa_fields(toa)
     counts = serial.mpc_count_histogram
     assert serial.aod_histogram.sum() == np.arange(len(counts)) @ counts
+
+
+def test_pooled_block_error_ends_the_run(monkeypatch):
+    # A block that raises on a pool thread ends the run with that very
+    # exception, and the run leaves no pool thread behind.
+    monkeypatch.setattr(simulator, "_BLOCK_SIZE", 100)
+    error = EmptyRegionError("the 4th block drew from an empty region")
+    calls = itertools.count(1)
+    sample = simulator.sample_block
+
+    def failing(*args, **kwargs):
+        if next(calls) == 4:
+            raise error
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "sample_block", failing)
+    threads = threading.active_count()
+    with pytest.raises(EmptyRegionError) as raised:
+        run_experiment(make_scenario(), GTU_REFLECTION, 12 * 100, 40, workers=2)
+    assert raised.value is error
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("wanted", [{"toa"}, set()], ids=["toa", "none"])
@@ -695,7 +716,7 @@ def test_work_bounded_by_realizations(gtu, cache, monkeypatch, wanted):
         lambda spec, rng, size: points.append(size) or sample(spec, rng, size=size),
     )
     n = 500
-    summary = run_experiment(scenario, GTU_REFLECTION, n, statistics=wanted)
+    summary = run_experiment(scenario, GTU_REFLECTION, n, gtu.seed, statistics=wanted)
     assert summary.mpc_count_histogram.sum() == n
     assert sum(points) <= 2 * n
     if not wanted:
@@ -719,9 +740,9 @@ class TestToaAwayFromPreset:
     @pytest.mark.parametrize("seed", [41, 42, 43])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_closed_form(self, cache, case, seed):
-        fields = {"d_prime": 300.0, "gamma": 0.5, "seed": seed, **self.CASES[case]}
+        fields = {"d_prime": 300.0, "gamma": 0.5, **self.CASES[case]}
         scenario = dataclasses.replace(make_scenario(), **fields)
         assert mean_active_count(scenario, "short") > 1.0
-        summary = run_experiment(scenario, GTU_REFLECTION, 20_000, statistics={"toa"})
+        summary = run_experiment(scenario, GTU_REFLECTION, 20_000, seed, statistics={"toa"})
         z = (summary.toa_mean - mean_toa(scenario)) / summary.toa_stderr
         assert abs(z) < 4.0
